@@ -15,6 +15,7 @@ interface.
 
 from __future__ import annotations
 
+import math
 import threading
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
@@ -71,13 +72,13 @@ class AffineMap:
 class DriftCoefficients:
     """Exact drift sequences, their limits, and the increment bound M.
 
-    ``alpha_n(k, n)`` and ``D_n(k, n)`` return the exact sequences for
-    k in {1, 2, 3}.  ``alpha_over_n(k, n)`` is alpha_n(k, n) / n written so
-    that it stays finite at a model's start index even when that index is 0
-    (where S is identically zero and the drift term vanishes).
+    ``D_n(k, n)`` and ``alpha_over_n(k, n)`` return the exact sequences
+    D_k(n) and alpha_k(n) / n of the ansatz for k in {1, 2, 3}.  The drift
+    rate is stored divided by n so that it stays finite at a model's start
+    index even when that index is 0 (where S is identically zero and the
+    drift term vanishes).
     """
 
-    alpha_n: Callable[[int, int], Fraction]
     D_n: Callable[[int, int], Fraction]
     alpha_over_n: Callable[[int, int], Fraction]
     alpha_lim: tuple[Fraction, Fraction, Fraction]
@@ -106,10 +107,11 @@ class DriftModel:
     # Orders k for which the drift ansatz holds exactly on every reachable
     # state.  The circle model only guarantees k = 1.
     exact_moment_orders: frozenset = frozenset({1, 2, 3})
-    # Optional batch form of increment_law for the simulation fast path:
-    # law_band(n, lo, hi) -> (values, numerators, denominator) where
-    # numerators[i, j] / denominator == increment_law(n, lo + i).mass(values[j])
-    # exactly.  Rows may contain zero numerators; columns are sorted by value.
+    # Optional batch form of increment_law, read by both engines through
+    # transition_band: law_band(n, lo, hi) -> (values, numerators, denominator)
+    # where numerators[i, j] / denominator == increment_law(n, lo + i).mass(values[j])
+    # exactly, or None to fall back to increment_law.  Rows may contain zero
+    # numerators; columns are sorted by value.
     law_band: Callable[[int, int, int], tuple[np.ndarray, np.ndarray, int]] | None = None
     urn: Any = None
     meta: dict = field(default_factory=dict)
@@ -131,6 +133,46 @@ def increment_pmf(model: DriftModel, state: ChainState) -> FiniteMeasure:
             f"{model.name}: state (n={state.n}, raw={state.raw}) is outside "
             f"the reachable range [{lo}, {hi}] at step {state.n}")
     return model.increment_law(state)
+
+
+def transition_band(model: DriftModel, n: int, lo: int,
+                    hi: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Increment laws of the states lo..hi at step n as one integer table.
+
+    Returns ``(values, numerators, den)`` with ``numerators[i, j] / den`` the
+    exact mass of raw increment ``values[j]`` out of state ``lo + i``; columns
+    are sorted by value.  The model's ``law_band`` is used when it gives a
+    band; otherwise the table is built from per-state ``increment_pmf`` over
+    the lcm of the mass denominators.
+    """
+    if model.law_band is not None:
+        band = model.law_band(n, lo, hi)
+        if band is not None:
+            values, numerators, den = band
+            return np.asarray(values, dtype=np.int64), numerators, int(den)
+    laws = [[(v, *m.as_integer_ratio())
+             for v, m in increment_pmf(model, ChainState(n, raw)).atoms]
+            for raw in range(lo, hi + 1)]
+    values = sorted({v for law in laws for v, _, _ in law})
+    col = {v: j for j, v in enumerate(values)}
+    den = math.lcm(*(q for law in laws for _, _, q in law))
+    rows = [[0] * len(values) for _ in laws]
+    for row, law in zip(rows, laws):
+        for v, p, q in law:
+            row[col[v]] = p * (den // q)
+    numerators = np.array(rows, dtype=np.int64 if den < 2**63 else object)
+    return np.array(values, dtype=np.int64), numerators, den
+
+
+def band_masses(numerators: np.ndarray, den: int) -> np.ndarray:
+    """Float masses ``numerators / den``, each exactly rounded.
+
+    Below 2**53 both operands convert to float exactly, so one float division
+    rounds once; above it Python's integer true division does the same.
+    """
+    if den < 2**53:
+        return np.asarray(numerators, dtype=np.float64) / float(den)
+    return (np.asarray(numerators, dtype=object) / den).astype(np.float64)
 
 
 def conditional_moment(model: DriftModel, state: ChainState, k: int) -> Fraction | float:
@@ -245,26 +287,8 @@ class _StepTables:
             return table
 
     def _build(self, n: int, lo: int, hi: int):
-        masses = values = None
-        if self.model.law_band is not None:
-            band = self.model.law_band(n, lo, hi)
-            if band is not None:
-                band_values, numerators, den = band
-                # A single float division of integers below 2**53 is exactly
-                # rounded, hence bit-identical to float(Fraction(num, den)).
-                if 0 < den < 2**53:
-                    values = np.asarray(band_values, dtype=np.int64)
-                    masses = np.asarray(numerators, dtype=np.int64) / float(den)
-        if masses is None:
-            pmfs = [increment_pmf(self.model, ChainState(n, raw))
-                    for raw in range(lo, hi + 1)]
-            vals = sorted({v for pmf in pmfs for v in pmf.values})
-            col = {v: j for j, v in enumerate(vals)}
-            masses = np.zeros((len(pmfs), len(vals)))
-            for i, pmf in enumerate(pmfs):
-                for v, m in pmf.atoms:
-                    masses[i, col[v]] = float(m)
-            values = np.asarray(vals, dtype=np.int64)
+        values, numerators, den = transition_band(self.model, n, lo, hi)
+        masses = band_masses(numerators, den)
         cdf = np.cumsum(masses, axis=1)
         last_nonzero = (masses.shape[1] - 1
                         - np.argmax((masses > 0)[:, ::-1], axis=1)).astype(np.int64)

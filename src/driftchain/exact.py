@@ -1,40 +1,48 @@
 """Exact distribution engine and asymptotic-recursion tools.
 
 ``evolve_iter``/``evolve_exact`` push the full lattice law of a model
-forward one step at a time, reading each step's transition row from the
-model's batched ``law_band`` table when it provides one and falling back
-to per-state ``increment_pmf`` otherwise.  In ``exact`` mode all
-arithmetic is rational; ``float`` mode runs the same sweep in doubles.
-``exact_moments12`` runs the closed first and second moment recursions
-implied by the drift ansatz, which is much cheaper than the DP and serves
-as an independent route to the same numbers.
+forward one step at a time, reading each step's transition rows from
+:func:`~driftchain.chain.transition_band`.  In ``exact`` mode the law is
+kept as integer numerators over one shared denominator; ``float`` mode runs
+the same sweep in doubles.  ``exact_moments12`` runs the closed first and
+second moment recursions implied by the drift ansatz, which is much cheaper
+than the DP and serves as an independent route to the same numbers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
-from .chain import AffineMap, ChainState, DriftModel, increment_pmf
+import numpy as np
+
+from .chain import AffineMap, DriftModel, band_masses, transition_band
 from .errors import BudgetExceededError
 
 DEFAULT_CELL_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeDistribution:
-    """Dense law over the contiguous raw range [offset, offset+len-1] at step n."""
+    """Dense law over the contiguous raw range [offset, offset+len-1] at step n.
+
+    In exact mode ``weights`` holds integer numerators over ``den``; in float
+    mode it holds the probabilities themselves and ``den`` is None.
+    """
 
     n: int
     offset: int
-    probs: tuple
-    # Unreduced integer numerators of ``probs`` over ``_den``, kept by the
-    # exact DP so moment sums can run in pure integer arithmetic.
-    _nums: tuple | None = field(default=None, compare=False, repr=False)
-    _den: int | None = field(default=None, compare=False, repr=False)
+    weights: np.ndarray
+    den: int | None = None
+
+    @cached_property
+    def probs(self) -> tuple:
+        if self.den is None:
+            return tuple(self.weights.tolist())
+        return tuple(Fraction(c, self.den) for c in self.weights.tolist())
 
     def items(self) -> Iterator[tuple[int, Fraction | float]]:
         for i, p in enumerate(self.probs):
@@ -52,11 +60,8 @@ class LatticeDistribution:
     def nonzero(self) -> dict:
         return {raw: p for raw, p in self.items() if p != 0}
 
-    def raw_moment(self, k: int):
-        return sum(p * raw**k for raw, p in self.items())
-
     def is_exact(self) -> bool:
-        return all(isinstance(p, Rational) for p in self.probs)
+        return self.den is not None
 
 
 def evolve_iter(model: DriftModel, n_target: int, mode: str = "exact",
@@ -68,85 +73,45 @@ def evolve_iter(model: DriftModel, n_target: int, mode: str = "exact",
         raise ValueError(
             f"target step {n_target} precedes start index {model.start.n}")
     exact = mode == "exact"
+    # Exact mode keeps Python-int numerators over one shared (unreduced)
+    # denominator, so the accumulation is gcd-free.
     offset = model.start.raw
-    # Exact mode keeps integer numerators over one shared (unreduced)
-    # denominator: the accumulation is then gcd-free, and Fractions are
-    # materialised once per step on yield.
-    weights: list = [1] if exact else [1.0]
-    weight_den = 1
+    weights = np.ones(1, dtype=object if exact else np.float64)
+    den = 1 if exact else None
     cells = 1
-    if exact:
-        yield LatticeDistribution(model.start.n, offset, (Fraction(1),),
-                                  _nums=(1,), _den=1)
-    else:
-        yield LatticeDistribution(model.start.n, offset, (1.0,))
+    yield LatticeDistribution(model.start.n, offset, weights, den)
     for n in range(model.start.n, n_target):
-        band = (model.law_band(n, offset, offset + len(weights) - 1)
-                if model.law_band is not None else None)
-        # states holds (raw, weight, atoms) with atom masses already in DP
-        # units: integer numerators over step_den in exact mode, floats in
-        # float mode.
-        states = []
-        step_den = 1
-        new_lo, new_hi = None, None
-        if band is not None:
-            band_values, numerators, band_den = band
-            band_values = [int(v) for v in band_values]
-            step_den = int(band_den)
-            rows = numerators.tolist()
-            for i, w in enumerate(weights):
-                if w == 0:
-                    continue
-                pairs = zip(band_values, rows[i])
-                atoms = ([(v, c) for v, c in pairs if c] if exact
-                         else [(v, c / step_den) for v, c in pairs if c])
-                raw = offset + i
-                states.append((raw, w, atoms))
-                lo = raw + atoms[0][0]
-                hi = raw + atoms[-1][0]
-                new_lo = lo if new_lo is None else min(new_lo, lo)
-                new_hi = hi if new_hi is None else max(new_hi, hi)
-        else:
-            for i, w in enumerate(weights):
-                if w == 0:
-                    continue
-                raw = offset + i
-                pmf = increment_pmf(model, ChainState(n, raw))
-                states.append((raw, w, pmf.atoms))
-                lo = raw + pmf.values[0]
-                hi = raw + pmf.values[-1]
-                new_lo = lo if new_lo is None else min(new_lo, lo)
-                new_hi = hi if new_hi is None else max(new_hi, hi)
-            if exact:
-                for _, _, atoms in states:
-                    for _, m in atoms:
-                        step_den = math.lcm(step_den, m.denominator)
-                states = [(raw, w,
-                           [(v, m.numerator * (step_den // m.denominator))
-                            for v, m in atoms])
-                          for raw, w, atoms in states]
-            else:
-                states = [(raw, w, [(v, float(m)) for v, m in atoms])
-                          for raw, w, atoms in states]
-        width = new_hi - new_lo + 1
-        cells += width
+        width = len(weights)
+        values, numerators, step_den = transition_band(
+            model, n, offset, offset + width - 1)
+        # The new support runs from the lowest to the highest raw state that
+        # a live row reaches through a nonzero atom.
+        atoms = numerators != 0
+        live = np.flatnonzero(weights != 0)
+        first = atoms[live].argmax(axis=1)
+        last = atoms.shape[1] - 1 - atoms[live, ::-1].argmax(axis=1)
+        new_lo = offset + int((live + values[first]).min())
+        new_hi = offset + int((live + values[last]).max())
+        cells += new_hi - new_lo + 1
         if cells > cell_budget:
             raise BudgetExceededError(
                 f"{model.name}: DP would use {cells} cells by step {n + 1}, "
                 f"over the budget of {cell_budget}")
-        nxt = [0] * width if exact else [0.0] * width
-        for raw, w, atoms in states:
-            base = raw - new_lo
-            for v, m in atoms:
-                nxt[base + v] += w * m
-        offset, weights = new_lo, nxt
         if exact:
-            weight_den *= step_den
-            yield LatticeDistribution(
-                n + 1, offset, tuple(Fraction(c, weight_den) for c in nxt),
-                _nums=tuple(nxt), _den=weight_den)
+            masses = np.asarray(numerators, dtype=object)
+            den *= step_den
         else:
-            yield LatticeDistribution(n + 1, offset, tuple(nxt))
+            masses = band_masses(numerators, step_den)
+        # Row i moves to cell i + values[j] - values[0] of acc.  Adding the
+        # columns from the highest value down makes every cell sum its terms
+        # in ascending source-state order.
+        acc = np.zeros(width + int(values[-1] - values[0]), dtype=weights.dtype)
+        for j in range(len(values) - 1, -1, -1):
+            shift = int(values[j] - values[0])
+            acc[shift:shift + width] += weights * masses[:, j]
+        base = offset + int(values[0])
+        offset, weights = new_lo, acc[new_lo - base:new_hi - base + 1]
+        yield LatticeDistribution(n + 1, offset, weights, den)
 
 
 def evolve_exact(model: DriftModel, n_target: int, mode: str = "exact",
@@ -162,16 +127,13 @@ def moment_of(dist: LatticeDistribution, affine: AffineMap, k: int) -> Fraction 
     """E[S^k] under a lattice law, with S the affine image of raw."""
     if k < 0:
         raise ValueError("moment order must be >= 0")
-    if dist._nums is not None:
+    if dist.is_exact():
         # S^k = (a*raw + b + c*n)^k / d^k, so over the DP's shared
         # denominator the whole sum reduces once, at the end.
         shift = affine.b + affine.c * dist.n
         num = sum(w * (affine.a * (dist.offset + i) + shift) ** k
-                  for i, w in enumerate(dist._nums) if w)
-        return Fraction(num, dist._den * affine.d ** k)
-    if dist.is_exact():
-        return sum(p * affine.s_value(dist.n, raw) ** k
-                   for raw, p in dist.items())
+                  for i, w in enumerate(dist.weights.tolist()) if w)
+        return Fraction(num, dist.den * affine.d ** k)
     return math.fsum(p * float(affine.s_value(dist.n, raw)) ** k
                      for raw, p in dist.items() if p != 0)
 

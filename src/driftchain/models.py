@@ -44,13 +44,6 @@ def make_descents_model() -> DriftModel:
             (1, Fraction(n - d, n + 1)),
         ))
 
-    def alpha_n(k: int, n: int) -> Fraction:
-        if k == 1:
-            return Fraction(n, n + 1)
-        if k == 2:
-            return Fraction(0)
-        return Fraction(n, 4 * (n + 1))
-
     def d_n(k: int, n: int) -> Fraction:
         return Fraction(1, 4) if k == 2 else Fraction(0)
 
@@ -66,7 +59,7 @@ def make_descents_model() -> DriftModel:
         return np.array([0, 1]), np.column_stack([d + 1, n - d]), n + 1
 
     coeffs = DriftCoefficients(
-        alpha_n=alpha_n, D_n=d_n, alpha_over_n=alpha_over_n,
+        D_n=d_n, alpha_over_n=alpha_over_n,
         alpha_lim=(Fraction(1), Fraction(0), Fraction(1, 4)),
         D_lim=(Fraction(0), Fraction(1, 4), Fraction(0)),
         M=Fraction(1, 2),
@@ -183,9 +176,6 @@ def make_balanced_urn(spec: UrnSpec, name: str | None = None) -> DriftModel:
     m1 = [spec.mu1.moment(k) for k in (1, 2, 3)]
     m2 = [spec.mu2.moment(k) for k in (1, 2, 3)]
 
-    def alpha_n(k: int, n: int) -> Fraction:
-        return n * (m2[k - 1] - m1[k - 1]) / spec.total(n)
-
     def d_n(k: int, n: int) -> Fraction:
         return m2[k - 1] + spec.a0 * (m1[k - 1] - m2[k - 1]) / spec.total(n)
 
@@ -193,7 +183,7 @@ def make_balanced_urn(spec: UrnSpec, name: str | None = None) -> DriftModel:
         return (m2[k - 1] - m1[k - 1]) / spec.total(n)
 
     coeffs = DriftCoefficients(
-        alpha_n=alpha_n, D_n=d_n, alpha_over_n=alpha_over_n,
+        D_n=d_n, alpha_over_n=alpha_over_n,
         alpha_lim=tuple((m2[k] - m1[k]) / Fraction(spec.N) for k in range(3)),
         D_lim=tuple(Fraction(m2[k]) for k in range(3)),
         M=Fraction(max(abs(v) for v in values)),
@@ -294,9 +284,6 @@ def make_circle_model() -> DriftModel:
             (2, Fraction(2 * n + 3 - 2 * s, t)),
         ))
 
-    def alpha_n(k: int, n: int) -> Fraction:
-        return Fraction(n * (2 ** (k + 1) - 1), 2 * n + 4)
-
     def d_n(k: int, n: int) -> Fraction:
         return Fraction(2 + 2 ** k * (2 * n + 3), 2 * n + 4)
 
@@ -312,7 +299,7 @@ def make_circle_model() -> DriftModel:
         return np.array([0, 1, 2]), nums, t
 
     coeffs = DriftCoefficients(
-        alpha_n=alpha_n, D_n=d_n, alpha_over_n=alpha_over_n,
+        D_n=d_n, alpha_over_n=alpha_over_n,
         alpha_lim=(Fraction(3, 2), Fraction(7, 2), Fraction(15, 2)),
         D_lim=(Fraction(2), Fraction(4), Fraction(8)),
         M=Fraction(2),
@@ -370,13 +357,6 @@ def make_idla_model() -> DriftModel:
         p_left = exit_left_probability(IdlaState(state.raw, state.n - state.raw))
         return FiniteMeasure(((0, 1 - p_left), (1, p_left)))
 
-    def alpha_n(k: int, n: int) -> Fraction:
-        if k == 1:
-            return Fraction(n, n + 2)
-        if k == 2:
-            return Fraction(0)
-        return Fraction(n, 4 * (n + 2))
-
     def d_n(k: int, n: int) -> Fraction:
         return Fraction(1, 4) if k == 2 else Fraction(0)
 
@@ -392,7 +372,7 @@ def make_idla_model() -> DriftModel:
         return np.array([0, 1]), np.column_stack([left + 1, n - left + 1]), n + 2
 
     coeffs = DriftCoefficients(
-        alpha_n=alpha_n, D_n=d_n, alpha_over_n=alpha_over_n,
+        D_n=d_n, alpha_over_n=alpha_over_n,
         alpha_lim=(Fraction(1), Fraction(0), Fraction(1, 4)),
         D_lim=(Fraction(0), Fraction(1, 4), Fraction(0)),
         M=Fraction(1, 2),

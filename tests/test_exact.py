@@ -1,14 +1,15 @@
 """Exact engine: lattice DP, moment recursions, scalar recursion, Gamma."""
 
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from driftchain import (
     BudgetExceededError,
-    LatticeDistribution,
     LemmaProblem,
     evolve_exact,
     evolve_iter,
@@ -17,8 +18,13 @@ from driftchain import (
     lemma_check,
     lemma_iterate,
     lemma_profile,
+    make_friedman,
     moment_of,
+    replicate_final,
+    replicate_rng,
+    simulate_final,
 )
+from driftchain.chain import band_masses, transition_band
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +68,11 @@ def test_float_and_exact_modes_agree(circle_model):
 
 
 def test_band_and_per_state_stepping_agree(descents_model, wide_urn_model,
-                                           circle_model):
-    """The batched law_band fast path must reproduce the per-state path."""
-    for model in (descents_model, wide_urn_model, circle_model):
+                                           circle_model, idla_model,
+                                           removal_uniform_model):
+    """Each hand-written law_band must reproduce the per-state band."""
+    for model in (descents_model, wide_urn_model, circle_model, idla_model,
+                  removal_uniform_model):
         generic = dataclasses.replace(model, law_band=None)
         fast = evolve_exact(model, 40)
         slow = evolve_exact(generic, 40)
@@ -72,11 +80,48 @@ def test_band_and_per_state_stepping_agree(descents_model, wide_urn_model,
         assert fast.nonzero() == slow.nonzero()
         assert (evolve_exact(model, 40, mode="float").probs
                 == evolve_exact(generic, 40, mode="float").probs)
-        # moment_of's integer shortcut against the plain Fraction sum
-        plain = LatticeDistribution(fast.n, fast.offset, fast.probs)
+        # moment_of's integer sum against the plain Fraction sum
         for k in (1, 2, 3):
-            assert moment_of(fast, model.affine, k) == moment_of(
-                plain, model.affine, k)
+            assert moment_of(fast, model.affine, k) == sum(
+                p * model.affine.s_value(fast.n, raw) ** k
+                for raw, p in fast.items())
+
+
+# Width and sha256 of f"{n}:{offset}:" + the float64 bytes of the float law at
+# n=600.  Each cell sums its terms in ascending source-state order, and only
+# cells no live row reaches are dropped; changing either changes these.
+FLOAT_LAW_DIGESTS = {
+    "descents": (474, "112038c47b7712a3bc0859434c9c8638641985be92432b9c41f2571af829b630"),
+    "removal(b=2)": (603, "aae0a4ced24d179afeafb9dce496f4adcb995bc32290b544587032c6c850dffb"),
+    "circle": (482, "791d69bf075caa0ded78494037b066607037fb2bfac41da51797fb7540970272"),
+}
+
+
+def test_float_law_bits_are_pinned(descents_model, removal_uniform_model,
+                                   circle_model):
+    for model in (descents_model, removal_uniform_model, circle_model):
+        dist = evolve_exact(model, 600, mode="float")
+        digest = hashlib.sha256(f"{dist.n}:{dist.offset}:".encode())
+        digest.update(np.asarray(dist.probs, dtype=np.float64).tobytes())
+        assert (len(dist.probs), digest.hexdigest()) == FLOAT_LAW_DIGESTS[model.name]
+
+
+def test_band_denominator_above_2_53():
+    """Masses over a denominator no double holds exactly stay exactly rounded."""
+    model = make_friedman(1, 2, a0=2**53)
+    lo, hi = model.reachable_range(5)
+    assert model.law_band(5, lo, hi) is None
+    _, numerators, den = transition_band(model, 5, lo, hi)
+    assert den > 2**53
+    assert band_masses(numerators, den).tolist() == [
+        [float(Fraction(c, den)) for c in row] for row in numerators.tolist()]
+    batch = replicate_final(model, 40, 16, 3)
+    assert batch.tolist() == [simulate_final(model, 40, replicate_rng(3, i))
+                              for i in range(16)]
+    exact = evolve_exact(model, 20)
+    approx = evolve_exact(model, 20, mode="float")
+    assert (approx.offset, len(approx.probs)) == (exact.offset, len(exact.probs))
+    assert max(abs(a - float(p)) for a, p in zip(approx.probs, exact.probs)) <= 1e-15
 
 
 def test_evolve_validation(descents_model):
