@@ -82,7 +82,6 @@ from .theory import (
     clt_params,
     friedman_params,
     gaussian_moments,
-    measure_moment,
     model_clt_params,
     removal_params,
     urn_clt_params,
@@ -133,7 +132,6 @@ __all__ = [
     "CltParams",
     "clt_params",
     "model_clt_params",
-    "measure_moment",
     "urn_drift_limits",
     "urn_clt_params",
     "UrnVarianceDecomposition",

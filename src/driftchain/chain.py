@@ -8,18 +8,20 @@ are affine in ``S_n``:
 
     E[a_{n+1}^k | history] = D_k(n) - (alpha_k(n) / n) * S_n,   k = 1, 2, 3
 
-with the coefficient sequences converging to limits.  Everything downstream
-(exact DP, CLT constants, Monte Carlo) only touches models through this
-interface.
+with the coefficient sequences converging to limits.  A model states its
+transition law once, as an integer band over a range of states
+(``DriftModel.law_band``); the exact DP and the Monte Carlo sampler read it
+through :func:`transition_band`, and the per-state law is one row of it
+(:func:`band_law`).  Everything downstream (exact DP, CLT constants, Monte
+Carlo) only touches models through this interface.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -102,19 +104,20 @@ class DriftModel:
     start: ChainState
     affine: AffineMap
     coeffs: DriftCoefficients
+    # The transition law, read by both engines through transition_band:
+    # law_band(n, lo, hi) -> (values, numerators, denominator) where
+    # numerators[i, j] / denominator is the exact mass of raw increment
+    # values[j] out of state lo + i.  Rows may contain zero numerators;
+    # columns are sorted by value.  Numerators are int64, or Python ints in
+    # an object array once the denominator reaches 2**63.
+    law_band: Callable[[int, int, int], tuple[np.ndarray, np.ndarray, int]]
+    # Per-state form of the same law, band_law(law_band) for every model.
     increment_law: Callable[[ChainState], FiniteMeasure]
     reachable_range: Callable[[int], tuple[int, int]]
     # Orders k for which the drift ansatz holds exactly on every reachable
     # state.  The circle model only guarantees k = 1.
     exact_moment_orders: frozenset = frozenset({1, 2, 3})
-    # Optional batch form of increment_law, read by both engines through
-    # transition_band: law_band(n, lo, hi) -> (values, numerators, denominator)
-    # where numerators[i, j] / denominator == increment_law(n, lo + i).mass(values[j])
-    # exactly, or None to fall back to increment_law.  Rows may contain zero
-    # numerators; columns are sorted by value.
-    law_band: Callable[[int, int, int], tuple[np.ndarray, np.ndarray, int]] | None = None
     urn: Any = None
-    meta: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -139,29 +142,24 @@ def transition_band(model: DriftModel, n: int, lo: int,
                     hi: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Increment laws of the states lo..hi at step n as one integer table.
 
-    Returns ``(values, numerators, den)`` with ``numerators[i, j] / den`` the
-    exact mass of raw increment ``values[j]`` out of state ``lo + i``; columns
-    are sorted by value.  The model's ``law_band`` is used when it gives a
-    band; otherwise the table is built from per-state ``increment_pmf`` over
-    the lcm of the mass denominators.
+    Returns the model's ``law_band(n, lo, hi)`` with ``values`` as int64 and
+    ``den`` as a Python int, so the exact DP can multiply denominators
+    without overflow.
     """
-    if model.law_band is not None:
-        band = model.law_band(n, lo, hi)
-        if band is not None:
-            values, numerators, den = band
-            return np.asarray(values, dtype=np.int64), numerators, int(den)
-    laws = [[(v, *m.as_integer_ratio())
-             for v, m in increment_pmf(model, ChainState(n, raw)).atoms]
-            for raw in range(lo, hi + 1)]
-    values = sorted({v for law in laws for v, _, _ in law})
-    col = {v: j for j, v in enumerate(values)}
-    den = math.lcm(*(q for law in laws for _, _, q in law))
-    rows = [[0] * len(values) for _ in laws]
-    for row, law in zip(rows, laws):
-        for v, p, q in law:
-            row[col[v]] = p * (den // q)
-    numerators = np.array(rows, dtype=np.int64 if den < 2**63 else object)
-    return np.array(values, dtype=np.int64), numerators, den
+    values, numerators, den = model.law_band(n, lo, hi)
+    return np.asarray(values, dtype=np.int64), numerators, int(den)
+
+
+def band_law(law_band: Callable) -> Callable[[ChainState], FiniteMeasure]:
+    """Per-state increment law: the nonzero atoms of the state's one-row band."""
+
+    def law(state: ChainState) -> FiniteMeasure:
+        values, numerators, den = law_band(state.n, state.raw, state.raw)
+        return FiniteMeasure(tuple(
+            (v, Fraction(c, int(den)))
+            for v, c in zip(values.tolist(), numerators[0].tolist()) if c))
+
+    return law
 
 
 def band_masses(numerators: np.ndarray, den: int) -> np.ndarray:

@@ -179,8 +179,7 @@ def _emit(text: str, out_path: str | None, also_stdout: bool = True) -> None:
             fh.write(text)
         if not also_stdout:
             return
-    if out_path is None or also_stdout:
-        sys.stdout.write(text)
+    sys.stdout.write(text)
 
 
 def _check_horizon(model: DriftModel, n: int) -> None:

@@ -1,12 +1,14 @@
 """Exact distribution engine and asymptotic-recursion tools.
 
 ``evolve_iter``/``evolve_exact`` push the full lattice law of a model
-forward one step at a time, reading each step's transition rows from
+forward one step at a time, reading each step's transition rows (the
+model's ``law_band``, its only statement of the transition law) through
 :func:`~driftchain.chain.transition_band`.  In ``exact`` mode the law is
-kept as integer numerators over one shared denominator; ``float`` mode runs
-the same sweep in doubles.  ``exact_moments12`` runs the closed first and
-second moment recursions implied by the drift ansatz, which is much cheaper
-than the DP and serves as an independent route to the same numbers.
+kept as Python-int numerators over one shared denominator, the product of
+the step denominators; ``float`` mode runs the same sweep in doubles.
+``exact_moments12`` runs the closed first and second moment recursions
+implied by the drift ansatz, which is much cheaper than the DP and serves
+as an independent route to the same numbers.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Concrete chain models.
 
-Each constructor returns a :class:`DriftModel` whose exact drift sequences
-were derived by hand from the transition law; the test suite re-derives
+Each constructor states its transition law once, as a vectorised integer
+``law_band``; the per-state law is ``band_law(law_band)``.  The exact drift
+sequences were derived by hand from that law; the test suite re-derives
 them with rational arithmetic, so any slip here shows up as a nonzero
 ``validate_drift_form`` result.
 
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chain import AffineMap, ChainState, DriftCoefficients, DriftModel
+from .chain import AffineMap, ChainState, DriftCoefficients, DriftModel, band_law
 from .errors import DegenerateLimitError, ModelValidationError
 from .measures import FiniteMeasure
 
@@ -36,13 +37,6 @@ def make_descents_model() -> DriftModel:
     slot sits just after a descent or at the right end, hence the law below.
     S_n = raw - (n-1)/2 has mean zero and increments +-1/2.
     """
-
-    def law(state: ChainState) -> FiniteMeasure:
-        n, d = state.n, state.raw
-        return FiniteMeasure((
-            (0, Fraction(d + 1, n + 1)),
-            (1, Fraction(n - d, n + 1)),
-        ))
 
     def d_n(k: int, n: int) -> Fraction:
         return Fraction(1, 4) if k == 2 else Fraction(0)
@@ -69,7 +63,7 @@ def make_descents_model() -> DriftModel:
         start=ChainState(1, 0),
         affine=AffineMap(a=2, b=1, c=-1, d=2),
         coeffs=coeffs,
-        increment_law=law,
+        increment_law=band_law(law_band),
         reachable_range=lambda n: (0, max(0, n - 1)),
         law_band=law_band,
     )
@@ -163,16 +157,6 @@ def make_balanced_urn(spec: UrnSpec, name: str | None = None) -> DriftModel:
     num1 = [int(Fraction(spec.mu1.mass(v)) * den) for v in values]
     num2 = [int(Fraction(spec.mu2.mass(v)) * den) for v in values]
 
-    def law(state: ChainState) -> FiniteMeasure:
-        total = spec.total(state.n)
-        w = state.raw
-        scale = den * total
-        return FiniteMeasure(tuple(
-            (v, Fraction(w * (n1 - n2) + total * n2, scale))
-            for v, n1, n2 in zip(values, num1, num2)
-            if w * (n1 - n2) + total * n2
-        ))
-
     m1 = [spec.mu1.moment(k) for k in (1, 2, 3)]
     m2 = [spec.mu2.moment(k) for k in (1, 2, 3)]
 
@@ -196,24 +180,28 @@ def make_balanced_urn(spec: UrnSpec, name: str | None = None) -> DriftModel:
         hi = min(spec.total(n), spec.a0 + n * max_inc)
         return lo, hi
 
-    diff = np.array([n1 - n2 for n1, n2 in zip(num1, num2)], dtype=np.int64)
-    base = np.array(num2, dtype=np.int64)
+    mass_dtype = np.int64 if den < 2**63 else object
+    diff = np.array([n1 - n2 for n1, n2 in zip(num1, num2)], dtype=mass_dtype)
+    base = np.array(num2, dtype=mass_dtype)
     values_arr = np.array(values, dtype=np.int64)
 
     def law_band(n: int, lo: int, hi: int):
+        # Out of w white balls, increment v has mass
+        # (w * mu1(v) + (total - w) * mu2(v)) / total, here over den * total.
+        # Both terms lie in [-scale, scale], so int64 holds them below 2**63.
         total = spec.total(n)
         scale = den * total
-        if scale >= 2**53:
-            return None
-        w = np.arange(lo, hi + 1, dtype=np.int64)[:, None]
-        return values_arr, w * diff[None, :] + total * base[None, :], scale
+        dtype = np.int64 if scale < 2**63 else object
+        w = np.arange(lo, hi + 1, dtype=dtype)[:, None]
+        return (values_arr, w * diff.astype(dtype, copy=False)
+                + total * base.astype(dtype, copy=False), scale)
 
     return DriftModel(
         name=name or f"urn(N={spec.N})",
         start=ChainState(0, spec.a0),
         affine=AffineMap(a=1, b=-spec.a0, c=0, d=1),
         coeffs=coeffs,
-        increment_law=law,
+        increment_law=band_law(law_band),
         reachable_range=reachable,
         law_band=law_band,
         urn=spec,
@@ -273,17 +261,6 @@ def make_circle_model() -> DriftModel:
     one is flagged as exact.
     """
 
-    def law(state: ChainState) -> FiniteMeasure:
-        n, s = state.n, state.raw
-        t = 2 * n + 4
-        if t == 2 * s:  # all-white surplus-0 arrangement
-            return FiniteMeasure(((0, Fraction(1, 2)), (1, Fraction(1, 2))))
-        return FiniteMeasure((
-            (0, Fraction(s - 1, t)),
-            (1, Fraction(s + 2, t)),
-            (2, Fraction(2 * n + 3 - 2 * s, t)),
-        ))
-
     def d_n(k: int, n: int) -> Fraction:
         return Fraction(2 + 2 ** k * (2 * n + 3), 2 * n + 4)
 
@@ -309,7 +286,7 @@ def make_circle_model() -> DriftModel:
         start=ChainState(1, 2),
         affine=AffineMap(a=1, b=0, c=0, d=1),
         coeffs=coeffs,
-        increment_law=law,
+        increment_law=band_law(law_band),
         reachable_range=lambda n: (2, 2 if n == 1 else n + 2),
         exact_moment_orders=frozenset({1}),
         law_band=law_band,
@@ -353,10 +330,6 @@ def make_idla_model() -> DriftModel:
     (R = n - L is determined).  S_n = L - n/2 has increments +-1/2.
     """
 
-    def law(state: ChainState) -> FiniteMeasure:
-        p_left = exit_left_probability(IdlaState(state.raw, state.n - state.raw))
-        return FiniteMeasure(((0, 1 - p_left), (1, p_left)))
-
     def d_n(k: int, n: int) -> Fraction:
         return Fraction(1, 4) if k == 2 else Fraction(0)
 
@@ -382,7 +355,7 @@ def make_idla_model() -> DriftModel:
         start=ChainState(0, 0),
         affine=AffineMap(a=2, b=0, c=-1, d=2),
         coeffs=coeffs,
-        increment_law=law,
+        increment_law=band_law(law_band),
         reachable_range=lambda n: (0, n),
         law_band=law_band,
     )

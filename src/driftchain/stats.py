@@ -162,11 +162,11 @@ def build_report(z: np.ndarray, model_name: str, n: int, reps: int,
 
 
 def verify(model: DriftModel, n: int, reps: int, master_seed: int,
-           k_max: int = DEFAULT_K_MAX, floors: dict[int, float] | None = None,
-           workers: int = 1) -> ExperimentReport:
+           k_max: int = DEFAULT_K_MAX,
+           floors: dict[int, float] | None = None) -> ExperimentReport:
     """Simulate, standardise, and run the moment checks for one model."""
     params = model_clt_params(model)
-    raws = replicate_final(model, n, reps, master_seed, workers=workers)
+    raws = replicate_final(model, n, reps, master_seed)
     z = standardize(raws, model, n)
     return build_report(z, model.name, n, reps, master_seed,
                         float(params.limit_variance), float(params.ell),

@@ -69,11 +69,6 @@ def model_clt_params(model: DriftModel, check_degenerate: bool = True) -> CltPar
                       check_degenerate=check_degenerate)
 
 
-def measure_moment(mu: FiniteMeasure, k: int) -> Fraction | float:
-    """k-th raw moment of a finite measure."""
-    return mu.moment(k)
-
-
 # ---------------------------------------------------------------------------
 # balanced urns
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Chain-core: affine scaling, drift validation, and seeded sampling."""
 
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -133,19 +132,6 @@ def test_replicate_final_is_chunking_and_worker_invariant(wide_urn_model):
     assert np.array_equal(
         base, replicate_final(wide_urn_model, 150, 64, 5, workers=4,
                               chunk_size=16))
-
-
-def test_law_band_fast_path_agrees_with_rational_path(descents_model,
-                                                      wide_urn_model,
-                                                      circle_model,
-                                                      idla_model,
-                                                      removal_uniform_model):
-    for model in (descents_model, wide_urn_model, circle_model, idla_model,
-                  removal_uniform_model):
-        slow = dataclasses.replace(model, law_band=None)
-        fast_out = replicate_final(model, 180, 48, 31)
-        slow_out = replicate_final(slow, 180, 48, 31)
-        assert np.array_equal(fast_out, slow_out), model.name
 
 
 def test_replicate_final_seed_changes_output(descents_model):

@@ -1,6 +1,5 @@
 """Exact engine: lattice DP, moment recursions, scalar recursion, Gamma."""
 
-import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -10,7 +9,9 @@ import pytest
 
 from driftchain import (
     BudgetExceededError,
+    FiniteMeasure,
     LemmaProblem,
+    UrnSpec,
     evolve_exact,
     evolve_iter,
     exact_moments12,
@@ -18,7 +19,9 @@ from driftchain import (
     lemma_check,
     lemma_iterate,
     lemma_profile,
+    make_balanced_urn,
     make_friedman,
+    make_removal_urn,
     moment_of,
     replicate_final,
     replicate_rng,
@@ -67,26 +70,6 @@ def test_float_and_exact_modes_agree(circle_model):
         assert approx.prob(raw) == pytest.approx(float(p), abs=1e-13)
 
 
-def test_band_and_per_state_stepping_agree(descents_model, wide_urn_model,
-                                           circle_model, idla_model,
-                                           removal_uniform_model):
-    """Each hand-written law_band must reproduce the per-state band."""
-    for model in (descents_model, wide_urn_model, circle_model, idla_model,
-                  removal_uniform_model):
-        generic = dataclasses.replace(model, law_band=None)
-        fast = evolve_exact(model, 40)
-        slow = evolve_exact(generic, 40)
-        assert fast.offset == slow.offset
-        assert fast.nonzero() == slow.nonzero()
-        assert (evolve_exact(model, 40, mode="float").probs
-                == evolve_exact(generic, 40, mode="float").probs)
-        # moment_of's integer sum against the plain Fraction sum
-        for k in (1, 2, 3):
-            assert moment_of(fast, model.affine, k) == sum(
-                p * model.affine.s_value(fast.n, raw) ** k
-                for raw, p in fast.items())
-
-
 # Width and sha256 of f"{n}:{offset}:" + the float64 bytes of the float law at
 # n=600.  Each cell sums its terms in ascending source-state order, and only
 # cells no live row reaches are dropped; changing either changes these.
@@ -107,21 +90,37 @@ def test_float_law_bits_are_pinned(descents_model, removal_uniform_model,
 
 
 def test_band_denominator_above_2_53():
-    """Masses over a denominator no double holds exactly stay exactly rounded."""
-    model = make_friedman(1, 2, a0=2**53)
-    lo, hi = model.reachable_range(5)
-    assert model.law_band(5, lo, hi) is None
-    _, numerators, den = transition_band(model, 5, lo, hi)
-    assert den > 2**53
-    assert band_masses(numerators, den).tolist() == [
-        [float(Fraction(c, den)) for c in row] for row in numerators.tolist()]
-    batch = replicate_final(model, 40, 16, 3)
-    assert batch.tolist() == [simulate_final(model, 40, replicate_rng(3, i))
-                              for i in range(16)]
-    exact = evolve_exact(model, 20)
-    approx = evolve_exact(model, 20, mode="float")
-    assert (approx.offset, len(approx.probs)) == (exact.offset, len(exact.probs))
-    assert max(abs(a - float(p)) for a, p in zip(approx.probs, exact.probs)) <= 1e-15
+    """Masses over a denominator no double holds exactly stay exactly rounded.
+
+    The friedman band's denominator lies between 2**53 and 2**63 (int64
+    numerators); the other bands' lie above 2**63 (Python-int numerators).
+    With masses in quarters some numerators pass 2**63 too, and the last urn
+    has a mass denominator above 2**63 of its own.
+    """
+    quarters = FiniteMeasure.from_pairs(
+        [(0, Fraction(1, 4)), (1, Fraction(1, 2)), (2, Fraction(1, 4))])
+    tiny = Fraction(1, 2**64 + 13)
+    fine = UrnSpec(N=1, mu1=FiniteMeasure.from_pairs([(0, tiny), (1, 1 - tiny)]),
+                   mu2=FiniteMeasure.uniform([0, 1]), a0=1, b0=1)
+    for model, den_floor in (
+            (make_friedman(1, 2, a0=2**53), 2**53),
+            (make_removal_urn(2, FiniteMeasure.uniform([0, 1, 2]), a0=2**62), 2**63),
+            (make_removal_urn(2, quarters, a0=2**62), 2**63),
+            (make_balanced_urn(fine), 2**64)):
+        lo, hi = model.reachable_range(5)
+        _, numerators, den = transition_band(model, 5, lo, hi)
+        assert den > den_floor
+        assert all(sum(row) == den for row in numerators.tolist())
+        assert band_masses(numerators, den).tolist() == [
+            [float(Fraction(c, den)) for c in row] for row in numerators.tolist()]
+        batch = replicate_final(model, 40, 16, 3)
+        assert batch.tolist() == [simulate_final(model, 40, replicate_rng(3, i))
+                                  for i in range(16)]
+        exact = evolve_exact(model, 20)
+        approx = evolve_exact(model, 20, mode="float")
+        assert (approx.offset, len(approx.probs)) == (exact.offset, len(exact.probs))
+        assert max(abs(a - float(p))
+                   for a, p in zip(approx.probs, exact.probs)) <= 1e-15
 
 
 def test_evolve_validation(descents_model):
@@ -136,13 +135,22 @@ def test_cell_budget_enforced(descents_model):
         evolve_exact(descents_model, 2000, cell_budget=500)
 
 
-def test_moment_of(descents_model):
+def test_moment_of(descents_model, wide_urn_model, circle_model, idla_model,
+                   removal_uniform_model):
     dist = evolve_exact(descents_model, 4)
     assert moment_of(dist, descents_model.affine, 0) == 1
     assert moment_of(dist, descents_model.affine, 1) == 0
     assert moment_of(dist, descents_model.affine, 2) == Fraction(5, 12)
     with pytest.raises(ValueError):
         moment_of(dist, descents_model.affine, -1)
+    # The integer sum over the shared denominator against the plain Fraction sum
+    for model in (descents_model, wide_urn_model, circle_model, idla_model,
+                  removal_uniform_model):
+        dist = evolve_exact(model, 40)
+        for k in (1, 2, 3):
+            assert moment_of(dist, model.affine, k) == sum(
+                p * model.affine.s_value(dist.n, raw) ** k
+                for raw, p in dist.items())
 
 
 # ---------------------------------------------------------------------------

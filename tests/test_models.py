@@ -135,15 +135,18 @@ def test_urn_law_total_mass_and_window(wide_urn_model):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_random_urn_law_band_matches_pmf(seed):
-    """The vectorised table numerators must equal the rational law exactly."""
+    """Each band row must equal the draw-colour mixture of mu1 and mu2."""
     rng = np.random.default_rng(seed)
-    model = make_balanced_urn(random_urn_spec(rng))
+    spec = random_urn_spec(rng)
+    model = make_balanced_urn(spec)
     n = int(rng.integers(0, 40))
     lo, hi = model.reachable_range(n)
     hi = min(hi, lo + 40)
     values, nums, den = model.law_band(n, lo, hi)
-    for i, raw in enumerate(range(lo, hi + 1)):
-        pmf = increment_pmf(model, ChainState(n, raw))
+    total = spec.total(n)
+    for i, w in enumerate(range(lo, hi + 1)):
+        pmf = FiniteMeasure.mixture([(Fraction(w, total), spec.mu1),
+                                     (1 - Fraction(w, total), spec.mu2)])
         for j, v in enumerate(values.tolist()):
             assert Fraction(int(nums[i, j]), den) == pmf.mass(v)
 
@@ -200,6 +203,17 @@ def test_exit_left_probability_frozen():
     assert exit_left_probability(IdlaState(0, 0)) == Fraction(1, 2)
     assert exit_left_probability(IdlaState(0, 3)) == Fraction(4, 5)
     assert exit_left_probability(IdlaState(3, 0)) == Fraction(1, 5)
+
+
+def test_idla_law_band_matches_exit_probability(idla_model):
+    for n in range(31):
+        lo, hi = idla_model.reachable_range(n)
+        values, nums, den = idla_model.law_band(n, lo, hi)
+        assert values.tolist() == [0, 1]
+        for i, left in enumerate(range(lo, hi + 1)):
+            p_left = exit_left_probability(IdlaState(left, n - left))
+            assert Fraction(int(nums[i, 0]), den) == 1 - p_left
+            assert Fraction(int(nums[i, 1]), den) == p_left
 
 
 def test_idla_first_particle_is_fair(idla_model):

@@ -18,7 +18,6 @@ from driftchain import (
     make_descents_model,
     make_friedman,
     make_removal_urn,
-    measure_moment,
     model_clt_params,
     removal_params,
     urn_clt_params,
@@ -122,12 +121,6 @@ def test_clt_params_degenerate_guard_and_override():
     p = clt_params(Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 4),
                    check_degenerate=False)
     assert p.D <= 0 and p.limit_variance <= 0
-
-
-def test_measure_moment():
-    mu = FiniteMeasure.uniform([0, 1, 2])
-    assert measure_moment(mu, 1) == 1
-    assert measure_moment(mu, 2) == Fraction(5, 3)
 
 
 def test_gaussian_moments_frozen():
