@@ -84,9 +84,7 @@ from .theory import (
     gaussian_moments,
     model_clt_params,
     removal_params,
-    urn_clt_params,
     urn_degeneracy_check,
-    urn_drift_limits,
     urn_variance_decomposition,
 )
 
@@ -132,8 +130,6 @@ __all__ = [
     "CltParams",
     "clt_params",
     "model_clt_params",
-    "urn_drift_limits",
-    "urn_clt_params",
     "UrnVarianceDecomposition",
     "urn_variance_decomposition",
     "urn_degeneracy_check",

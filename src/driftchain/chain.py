@@ -8,12 +8,14 @@ are affine in ``S_n``:
 
     E[a_{n+1}^k | history] = D_k(n) - (alpha_k(n) / n) * S_n,   k = 1, 2, 3
 
-with the coefficient sequences converging to limits.  A model states its
-transition law once, as an integer band over a range of states
-(``DriftModel.law_band``); the exact DP and the Monte Carlo sampler read it
-through :func:`transition_band`, and the per-state law is one row of it
-(:func:`band_law`).  Everything downstream (exact DP, CLT constants, Monte
-Carlo) only touches models through this interface.
+with coefficients of one shared form, alpha_k(n)/n = alpha_k/(n + c) and
+D_k(n) = D_k + e_k/(n + c), which a model states as data: the shift c, the
+limits alpha_k, D_k and the corrections e_k (:class:`DriftCoefficients`).
+A model states its transition law once, as an integer band over a range of
+states (``DriftModel.law_band``); the exact DP and the Monte Carlo sampler
+read it through :func:`transition_band`, and the per-state law is one row of
+it (:func:`band_law`).  Everything downstream (exact DP, CLT constants,
+Monte Carlo) only touches models through this interface.
 """
 
 from __future__ import annotations
@@ -72,20 +74,26 @@ class AffineMap:
 
 @dataclass(frozen=True)
 class DriftCoefficients:
-    """Exact drift sequences, their limits, and the increment bound M.
+    """Drift sequences in the one-shift form, and the increment bound M.
 
-    ``D_n(k, n)`` and ``alpha_over_n(k, n)`` return the exact sequences
-    D_k(n) and alpha_k(n) / n of the ansatz for k in {1, 2, 3}.  The drift
-    rate is stored divided by n so that it stays finite at a model's start
-    index even when that index is 0 (where S is identically zero and the
-    drift term vanishes).
+    For k in {1, 2, 3}, alpha_k(n)/n = alpha_lim[k-1] / (n + c) and
+    D_k(n) = D_lim[k-1] + D_corr[k-1] / (n + c), so the limits are part of
+    the sequences that the exact checks compare with the transition law.
+    ``c`` is the shift of :class:`~driftchain.exact.LemmaProblem`; n + c > 0
+    keeps the drift rate finite at a start index of 0.
     """
 
-    D_n: Callable[[int, int], Fraction]
-    alpha_over_n: Callable[[int, int], Fraction]
+    c: Fraction
     alpha_lim: tuple[Fraction, Fraction, Fraction]
     D_lim: tuple[Fraction, Fraction, Fraction]
+    D_corr: tuple[Fraction, Fraction, Fraction]
     M: Fraction
+
+    def D_n(self, k: int, n: int) -> Fraction:
+        return self.D_lim[k - 1] + self.D_corr[k - 1] / (n + self.c)
+
+    def alpha_over_n(self, k: int, n: int) -> Fraction:
+        return self.alpha_lim[k - 1] / (n + self.c)
 
     def drift_moment(self, k: int, n: int, s: Fraction) -> Fraction:
         """The affine conditional-moment ansatz D_k(n) - (alpha_k(n)/n) S."""

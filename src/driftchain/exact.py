@@ -50,12 +50,6 @@ class LatticeDistribution:
         for i, p in enumerate(self.probs):
             yield self.offset + i, p
 
-    def prob(self, raw: int) -> Fraction | float:
-        i = raw - self.offset
-        if 0 <= i < len(self.probs):
-            return self.probs[i]
-        return 0 * self.probs[0]
-
     def total_mass(self):
         return sum(self.probs)
 

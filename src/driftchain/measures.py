@@ -135,6 +135,3 @@ class FiniteMeasure:
     def shift(self, delta: int | Fraction) -> "FiniteMeasure":
         """Translate every atom by ``delta`` (convolution with a point mass)."""
         return FiniteMeasure(tuple((v + delta, m) for v, m in self.atoms))
-
-    def float_atoms(self) -> tuple[tuple[int | Fraction, float], ...]:
-        return tuple((v, float(m)) for v, m in self.atoms)

@@ -1,10 +1,13 @@
 """Concrete chain models.
 
 Each constructor states its transition law once, as a vectorised integer
-``law_band``; the per-state law is ``band_law(law_band)``.  The exact drift
-sequences were derived by hand from that law; the test suite re-derives
-them with rational arithmetic, so any slip here shows up as a nonzero
-``validate_drift_form`` result.
+``law_band``; the per-state law is ``band_law(law_band)``.  Its drift is
+data in the one-shift form of :class:`~driftchain.chain.DriftCoefficients`:
+a shift c, the limits alpha_k and D_k, and the corrections e_k, with
+alpha_k(n)/n = alpha_k/(n + c) and D_k(n) = D_k + e_k/(n + c).  The test
+suite re-derives the sequences from the law with rational arithmetic, so a
+wrong limit or correction shows up as a nonzero ``validate_drift_form``
+result.
 
 Indexing conventions: the permutation-descent and circle models start at
 n = 1 (their S_1 is the first increment), urn models start at n = 0 with
@@ -38,24 +41,15 @@ def make_descents_model() -> DriftModel:
     S_n = raw - (n-1)/2 has mean zero and increments +-1/2.
     """
 
-    def d_n(k: int, n: int) -> Fraction:
-        return Fraction(1, 4) if k == 2 else Fraction(0)
-
-    def alpha_over_n(k: int, n: int) -> Fraction:
-        if k == 1:
-            return Fraction(1, n + 1)
-        if k == 2:
-            return Fraction(0)
-        return Fraction(1, 4 * (n + 1))
-
     def law_band(n: int, lo: int, hi: int):
         d = np.arange(lo, hi + 1, dtype=np.int64)
         return np.array([0, 1]), np.column_stack([d + 1, n - d]), n + 1
 
     coeffs = DriftCoefficients(
-        D_n=d_n, alpha_over_n=alpha_over_n,
+        c=1,
         alpha_lim=(Fraction(1), Fraction(0), Fraction(1, 4)),
         D_lim=(Fraction(0), Fraction(1, 4), Fraction(0)),
+        D_corr=(Fraction(0),) * 3,
         M=Fraction(1, 2),
     )
     return DriftModel(
@@ -160,16 +154,14 @@ def make_balanced_urn(spec: UrnSpec, name: str | None = None) -> DriftModel:
     m1 = [spec.mu1.moment(k) for k in (1, 2, 3)]
     m2 = [spec.mu2.moment(k) for k in (1, 2, 3)]
 
-    def d_n(k: int, n: int) -> Fraction:
-        return m2[k - 1] + spec.a0 * (m1[k - 1] - m2[k - 1]) / spec.total(n)
-
-    def alpha_over_n(k: int, n: int) -> Fraction:
-        return (m2[k - 1] - m1[k - 1]) / spec.total(n)
-
+    # Out of w = S_n + a0 white balls among total(n) = N (n + c), the k-th
+    # increment moment is m2k - (w / total(n)) (m2k - m1k).
+    alpha_lim = tuple((m2[k] - m1[k]) / Fraction(spec.N) for k in range(3))
     coeffs = DriftCoefficients(
-        D_n=d_n, alpha_over_n=alpha_over_n,
-        alpha_lim=tuple((m2[k] - m1[k]) / Fraction(spec.N) for k in range(3)),
+        c=Fraction(spec.a0 + spec.b0, spec.N),
+        alpha_lim=alpha_lim,
         D_lim=tuple(Fraction(m2[k]) for k in range(3)),
+        D_corr=tuple(-spec.a0 * a for a in alpha_lim),
         M=Fraction(max(abs(v) for v in values)),
     )
 
@@ -261,12 +253,6 @@ def make_circle_model() -> DriftModel:
     one is flagged as exact.
     """
 
-    def d_n(k: int, n: int) -> Fraction:
-        return Fraction(2 + 2 ** k * (2 * n + 3), 2 * n + 4)
-
-    def alpha_over_n(k: int, n: int) -> Fraction:
-        return Fraction(2 ** (k + 1) - 1, 2 * n + 4)
-
     def law_band(n: int, lo: int, hi: int):
         t = 2 * n + 4
         s = np.arange(lo, hi + 1, dtype=np.int64)
@@ -276,9 +262,10 @@ def make_circle_model() -> DriftModel:
         return np.array([0, 1, 2]), nums, t
 
     coeffs = DriftCoefficients(
-        D_n=d_n, alpha_over_n=alpha_over_n,
+        c=2,
         alpha_lim=(Fraction(3, 2), Fraction(7, 2), Fraction(15, 2)),
         D_lim=(Fraction(2), Fraction(4), Fraction(8)),
+        D_corr=(Fraction(0), Fraction(-1), Fraction(-3)),
         M=Fraction(2),
     )
     return DriftModel(
@@ -330,24 +317,15 @@ def make_idla_model() -> DriftModel:
     (R = n - L is determined).  S_n = L - n/2 has increments +-1/2.
     """
 
-    def d_n(k: int, n: int) -> Fraction:
-        return Fraction(1, 4) if k == 2 else Fraction(0)
-
-    def alpha_over_n(k: int, n: int) -> Fraction:
-        if k == 1:
-            return Fraction(1, n + 2)
-        if k == 2:
-            return Fraction(0)
-        return Fraction(1, 4 * (n + 2))
-
     def law_band(n: int, lo: int, hi: int):
         left = np.arange(lo, hi + 1, dtype=np.int64)
         return np.array([0, 1]), np.column_stack([left + 1, n - left + 1]), n + 2
 
     coeffs = DriftCoefficients(
-        D_n=d_n, alpha_over_n=alpha_over_n,
+        c=2,
         alpha_lim=(Fraction(1), Fraction(0), Fraction(1, 4)),
         D_lim=(Fraction(0), Fraction(1, 4), Fraction(0)),
+        D_corr=(Fraction(0),) * 3,
         M=Fraction(1, 2),
     )
     return DriftModel(

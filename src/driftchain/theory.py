@@ -73,22 +73,6 @@ def model_clt_params(model: DriftModel, check_degenerate: bool = True) -> CltPar
 # balanced urns
 # ---------------------------------------------------------------------------
 
-def urn_drift_limits(spec: UrnSpec) -> tuple[tuple[Fraction, Fraction], ...]:
-    """((alpha_k, D_k) for k = 1, 2, 3): alpha_k = (m2k - m1k)/N, D_k = m2k."""
-    out = []
-    for k in (1, 2, 3):
-        m1k = Fraction(spec.mu1.moment(k))
-        m2k = Fraction(spec.mu2.moment(k))
-        out.append(((m2k - m1k) / spec.N, m2k))
-    return tuple(out)
-
-
-def urn_clt_params(spec: UrnSpec, check_degenerate: bool = True) -> CltParams:
-    (a1, d1), (a2, d2), (a3, d3) = urn_drift_limits(spec)
-    return clt_params(a1, a2, d1, d2, alpha3=a3, D3=d3,
-                      check_degenerate=check_degenerate)
-
-
 @dataclass(frozen=True)
 class UrnVarianceDecomposition:
     """Limit variance split into a mean-drift part and a noise part.

@@ -94,12 +94,13 @@ CRITERIA = {
     "c2": "descents variance (n+1)/12 for n <= 300",
     "c3": "descents / growth-urn / aggregation laws coincide (n <= 50)",
     "c4": "closed-form limit constants, exact rational agreement",
-    "c5": "urn variance decomposition + degeneracy over 1000 random specs",
+    "c5": ("urn variance decomposition + degeneracy over 1000 random specs, "
+           "exactly"),
     "c6": "moment recursions match the exact DP (n <= 300)",
     "c7": ("Monte Carlo standardized moments at n=4000, 40000 replicates "
            "(odd orders against the exact law at n=4000)"),
     "c8": "scalar recursion asymptotics and Gamma telescoping",
-    "c9": "conditional-moment drift form validated state by state",
+    "c9": "conditional-moment drift form validated state by state, exactly",
 }
 
 

@@ -28,6 +28,7 @@ from driftchain import (
     idla_exact,
     lemma_check,
     lemma_iterate,
+    make_balanced_urn,
     make_circle_model,
     make_descents_model,
     make_friedman,
@@ -37,9 +38,7 @@ from driftchain import (
     removal_params,
     replicate_final,
     standardize,
-    urn_clt_params,
     urn_degeneracy_check,
-    urn_drift_limits,
     urn_variance_decomposition,
     validate_drift_form,
 )
@@ -142,7 +141,10 @@ def test_c5_decomposition_and_classifier_agree(urn_spec_stream):
     total = compared = flagged = 0
     for spec in urn_spec_stream(20260814, 1000):
         total += 1
-        (a1, d1), (a2, d2), _ = urn_drift_limits(spec)
+        model = make_balanced_urn(spec)
+        coeffs = model.coeffs
+        a1, a2 = coeffs.alpha_limit(1), coeffs.alpha_limit(2)
+        d1, d2 = coeffs.D_limit(1), coeffs.D_limit(2)
         reason = urn_degeneracy_check(spec)
         if a1 == -1:
             # no drift limit at all; the classifier must flag it
@@ -151,16 +153,16 @@ def test_c5_decomposition_and_classifier_agree(urn_spec_stream):
             continue
         ell = d1 / (a1 + 1)
         d_value = d2 - ell * (ell + a2)
-        # classifier vs the direct D, at 1e-12
+        # classifier vs the direct D, exactly
         if reason is None:
-            assert float(d_value) > 1e-12
+            assert d_value > 0
         else:
-            assert abs(float(d_value)) <= 1e-12
+            assert d_value == 0
             flagged += 1
         if 2 * a1 + 1 > 0:
-            direct = urn_clt_params(spec, check_degenerate=False).limit_variance
+            direct = model_clt_params(model, check_degenerate=False).limit_variance
             decomposed = urn_variance_decomposition(spec).variance
-            assert abs(float(decomposed - direct)) <= 1e-10
+            assert decomposed == direct
             compared += 1
     assert total == 1000
     assert compared >= 200      # the stream is seeded: plenty of both kinds
@@ -358,7 +360,7 @@ def test_c9_drift_form_exact_for_descents_and_urns(
               removal_uniform_model)
     for model in models:
         for k in (1, 2, 3):
-            assert validate_drift_form(model, 20, k) <= 1e-12, (model.name, k)
+            assert validate_drift_form(model, 20, k) == 0.0, (model.name, k)
     assert time.perf_counter() - t0 < 5.0
 
 

@@ -76,13 +76,6 @@ def test_max_abs_value():
     assert FiniteMeasure.uniform([-3, 0, 2]).max_abs_value() == 3
 
 
-def test_float_atoms_round_exactly():
-    mu = FiniteMeasure.from_pairs([(0, Fraction(1, 3)), (1, Fraction(2, 3))])
-    atoms = dict(mu.float_atoms())
-    assert atoms[0] == float(Fraction(1, 3))
-    assert atoms[1] == float(Fraction(2, 3))
-
-
 @st.composite
 def rational_measures(draw):
     values = draw(st.lists(st.integers(-10, 10), min_size=1, max_size=6,

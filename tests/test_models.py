@@ -25,6 +25,7 @@ from driftchain import (
     make_removal_urn,
     replicate_rng,
     simulate_idla,
+    validate_drift_form,
 )
 from conftest import random_urn_spec
 
@@ -149,6 +150,20 @@ def test_random_urn_law_band_matches_pmf(seed):
                                      (1 - Fraction(w, total), spec.mu2)])
         for j, v in enumerate(values.tolist()):
             assert Fraction(int(nums[i, j]), den) == pmf.mass(v)
+
+
+def test_random_urn_drift_form_is_exact():
+    """The one-shift drift data of general urns (any a0, b0, N) is exact:
+    c = (a0 + b0)/N and e_k = -a0 alpha_k, checked state by state."""
+    rng = np.random.default_rng(20261018)
+    specs = [random_urn_spec(rng) for _ in range(20)]
+    starts = {(spec.a0, spec.b0) for spec in specs}
+    assert any(a0 == 0 for a0, _ in starts) and any(a0 >= 2 for a0, _ in starts)
+    assert any(b0 != 1 for _, b0 in starts)
+    for spec in specs:
+        model = make_balanced_urn(spec)
+        for k in (1, 2, 3):
+            assert validate_drift_form(model, 8, k) == 0.0, (spec, k)
 
 
 # ---------------------------------------------------------------------------

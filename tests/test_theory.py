@@ -14,13 +14,13 @@ from driftchain import (
     clt_params,
     friedman_params,
     gaussian_moments,
+    make_balanced_urn,
     make_circle_model,
     make_descents_model,
     make_friedman,
     make_removal_urn,
     model_clt_params,
     removal_params,
-    urn_clt_params,
     urn_degeneracy_check,
     urn_variance_decomposition,
 )
@@ -139,9 +139,9 @@ def test_gaussian_moments_float_inputs():
 
 def _direct_d(spec):
     """D via the generic limit route, None when alpha1 = -1 (no centering)."""
-    from driftchain import urn_drift_limits
-
-    (a1, d1), (a2, d2), _ = urn_drift_limits(spec)
+    coeffs = make_balanced_urn(spec).coeffs
+    a1, a2 = coeffs.alpha_limit(1), coeffs.alpha_limit(2)
+    d1, d2 = coeffs.D_limit(1), coeffs.D_limit(2)
     if a1 == -1:
         return None
     ell = d1 / (a1 + 1)
@@ -154,7 +154,7 @@ def test_urn_decomposition_equals_direct_variance(seed):
     rng = np.random.default_rng(seed)
     spec = random_urn_spec(rng)
     try:
-        direct = urn_clt_params(spec)
+        direct = model_clt_params(make_balanced_urn(spec))
     except (SmallUrnError, DegenerateLimitError):
         return
     decomp = urn_variance_decomposition(spec)
