@@ -23,9 +23,11 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -125,7 +127,6 @@ class DriftModel:
     # Orders k for which the drift ansatz holds exactly on every reachable
     # state.  The circle model only guarantees k = 1.
     exact_moment_orders: frozenset = frozenset({1, 2, 3})
-    urn: Any = None
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +264,13 @@ def simulate_final(model: DriftModel, n: int, rng: np.random.Generator) -> int:
 
 
 class _StepTables:
-    """Per-step cache of float CDF rows for a contiguous band of raw states.
+    """Per-step cache of float CDF tables for a contiguous band of raw states.
 
     Row contents depend only on (model, n, raw) — each mass is the exactly
     rounded float of the rational pmf mass — so lazily widening the band for
-    one chunk of replicates never changes what another chunk samples.
+    one chunk of replicates never changes what another chunk samples.  The
+    CDF is kept transposed, one contiguous array per column.  The kernel
+    makes one cache per block of steps and drops it when the block ends.
     """
 
     _PAD = 16
@@ -295,10 +298,52 @@ class _StepTables:
     def _build(self, n: int, lo: int, hi: int):
         values, numerators, den = transition_band(self.model, n, lo, hi)
         masses = band_masses(numerators, den)
-        cdf = np.cumsum(masses, axis=1)
-        last_nonzero = (masses.shape[1] - 1
-                        - np.argmax((masses > 0)[:, ::-1], axis=1)).astype(np.int64)
-        return (lo, hi, values, cdf, last_nonzero)
+        # A pick is the number of CDF entries at or below u, clamped to the
+        # last atom of nonzero mass in case the row sums to just under 1.  So
+        # the last column is never needed, and in rows that end in zero
+        # masses the entries from the last nonzero atom on are set to inf.
+        cdf_t = np.ascontiguousarray(np.cumsum(masses[:, :-1], axis=1).T)
+        if not masses[:, -1].all():
+            ncols = masses.shape[1]
+            last_nonzero = ncols - 1 - np.argmax(masses[:, ::-1] > 0, axis=1)
+            cdf_t[np.arange(ncols - 1)[:, None] >= last_nonzero] = np.inf
+        return (lo, hi, values, cdf_t)
+
+
+# Steps per block of the Monte Carlo kernel.  Each replicate draws this many
+# uniforms at a time, and the step tables of a block are freed when it ends.
+STEP_BLOCK = 256
+
+
+def _advance(raw: np.ndarray, gens: list, t0: int, width: int,
+             tables: _StepTables, tile: np.ndarray, block: np.ndarray) -> None:
+    """Move one chunk of replicates through steps t0 .. t0 + width - 1.
+
+    Each replicate's next ``width`` uniforms are drawn into ``tile`` rows,
+    STEP_BLOCK replicates at a time, and copied transposed into ``block`` so
+    that step t reads one contiguous row.  ``raw`` is updated in place.
+    """
+    count = len(gens)
+    uniforms = block[:width, :count]
+    for j0 in range(0, count, STEP_BLOCK):
+        part = tile[:min(STEP_BLOCK, count - j0), :width]
+        for row, g in zip(part, gens[j0:j0 + STEP_BLOCK]):
+            g.random(out=row)
+        uniforms[:, j0:j0 + len(part)] = part.T
+    for t in range(width):
+        table = tables.get(t0 + t, int(raw.min()), int(raw.max()))
+        raw += _increments(table, raw, uniforms[t])
+
+
+def _increments(table: tuple, raw: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Raw increments for states ``raw`` and uniforms ``u``, one per replicate:
+    one comparison per column of the clamped, transposed step table."""
+    lo, _, values, cdf_t = table
+    rows = raw - lo
+    picks = np.zeros(len(raw), dtype=np.intp)
+    for column in cdf_t:
+        picks += u >= column[rows]
+    return values[picks]
 
 
 def replicate_final(model: DriftModel, n: int, reps: int, master_seed: int,
@@ -306,43 +351,50 @@ def replicate_final(model: DriftModel, n: int, reps: int, master_seed: int,
     """Final raw states of ``reps`` independent trajectories.
 
     Replicate ``i`` consumes uniforms from its own (master_seed, i) stream,
-    one per step, mapped through the increment CDF with atoms in value
-    order.  The output array is therefore bitwise identical for any
+    one per step, in step order, mapped through the increment CDF with atoms
+    in value order.  The output array is therefore bitwise identical for any
     ``workers``/``chunk_size`` choice.
+
+    The kernel streams: every replicate keeps one generator, and the steps
+    run in blocks of STEP_BLOCK.  Within a block the replicates run in chunks
+    of ``chunk_size`` (spread over ``workers`` threads), each chunk drawing
+    its next STEP_BLOCK uniforms per replicate into a (step, replicate)
+    buffer, then taking the block's steps one at a time.  Each step's CDF
+    table is built once per block, shared by every chunk, and freed when the
+    block ends.  Memory is therefore O(chunk_size * STEP_BLOCK) for the
+    uniforms plus one block of step tables and one generator per replicate,
+    whatever ``n`` is.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if n < model.start.n:
         raise ValueError(f"target step {n} precedes start index {model.start.n}")
     steps = n - model.start.n
-    out = np.empty(reps, dtype=np.int64)
     if steps == 0:
-        out.fill(model.start.raw)
-        return out
-
-    tables = _StepTables(model)
-
-    def run_chunk(i0: int, i1: int) -> np.ndarray:
-        count = i1 - i0
-        uniforms = np.empty((count, steps))
-        for j in range(count):
-            uniforms[j] = replicate_rng(master_seed, i0 + j).random(steps)
-        raw = np.full(count, model.start.raw, dtype=np.int64)
-        for t, step_n in enumerate(range(model.start.n, n)):
-            lo, _, values, cdf, last_nz = tables.get(
-                step_n, int(raw.min()), int(raw.max()))
-            rows = raw - lo
-            picks = (uniforms[:, t][:, None] >= cdf[rows]).sum(axis=1)
-            np.minimum(picks, last_nz[rows], out=picks)
-            raw += values[picks]
-        return raw
+        return np.full(reps, model.start.raw, dtype=np.int64)
 
     bounds = [(i, min(i + chunk_size, reps)) for i in range(0, reps, chunk_size)]
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda b: run_chunk(*b), bounds))
-    else:
-        results = [run_chunk(*b) for b in bounds]
-    for (i0, i1), chunk in zip(bounds, results):
-        out[i0:i1] = chunk
-    return out
+    chunks = [([replicate_rng(master_seed, i) for i in range(i0, i1)],
+               np.full(i1 - i0, model.start.raw, dtype=np.int64))
+              for i0, i1 in bounds]
+    # Each thread takes a fixed share of the chunks and reuses one pair of
+    # uniform buffers for all of them.
+    nlanes = min(max(workers, 1), len(chunks))
+    lanes = [chunks[k::nlanes] for k in range(nlanes)]
+    size, depth = bounds[0][1], min(STEP_BLOCK, steps)
+    buffers = [(np.empty((min(STEP_BLOCK, size), depth)), np.empty((depth, size)))
+               for _ in lanes]
+
+    def run_lane(lane, buffer, t0, width, tables):
+        for gens, raw in lane:
+            _advance(raw, gens, t0, width, tables, *buffer)
+
+    with ThreadPoolExecutor(nlanes) if nlanes > 1 else nullcontext() as pool:
+        for t0 in range(model.start.n, n, STEP_BLOCK):
+            run = partial(run_lane, t0=t0, width=min(STEP_BLOCK, n - t0),
+                          tables=_StepTables(model))
+            if pool is None:
+                run(lanes[0], buffers[0])
+            else:
+                list(pool.map(run, lanes, buffers))
+    return np.concatenate([raw for _, raw in chunks])

@@ -196,7 +196,6 @@ def make_balanced_urn(spec: UrnSpec, name: str | None = None) -> DriftModel:
         increment_law=band_law(law_band),
         reachable_range=reachable,
         law_band=law_band,
-        urn=spec,
     )
 
 

@@ -1,5 +1,6 @@
 """Chain-core: affine scaling, drift validation, and seeded sampling."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,15 +9,28 @@ import pytest
 from driftchain import (
     AffineMap,
     ChainState,
+    DriftModel,
     UnreachableStateError,
     conditional_moment,
     increment_pmf,
+    make_friedman,
     replicate_final,
     replicate_rng,
     rng_id,
     simulate_final,
     validate_drift_form,
 )
+from driftchain.chain import (
+    STEP_BLOCK,
+    _increments,
+    _sample_raw_step,
+    _StepTables,
+    band_law,
+)
+
+# Horizons around the kernel's step blocks: a replicate stream that resumes
+# at the wrong place in the next block changes every draw after it.
+BLOCK_STEPS = (STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1, 2 * STEP_BLOCK + 3)
 
 
 def test_affine_map_values():
@@ -118,20 +132,72 @@ def test_replicate_final_matches_scalar_simulation(descents_model,
                                                    circle_model):
     """Vectorised replication must reproduce the one-path sampler exactly."""
     for model in (descents_model, wide_urn_model, circle_model):
-        batch = replicate_final(model, 120, 32, 2024, chunk_size=10)
-        singles = [simulate_final(model, 120, replicate_rng(2024, i))
-                   for i in range(32)]
-        assert batch.tolist() == singles
+        for n in (120, *(model.start.n + steps for steps in BLOCK_STEPS)):
+            batch = replicate_final(model, n, 32, 2024, chunk_size=10)
+            singles = [simulate_final(model, n, replicate_rng(2024, i))
+                       for i in range(32)]
+            assert batch.tolist() == singles, (model.name, n)
 
 
 def test_replicate_final_is_chunking_and_worker_invariant(wide_urn_model):
-    base = replicate_final(wide_urn_model, 150, 64, 5)
-    for chunk in (1, 7, 63, 64, 1000):
-        assert np.array_equal(
-            base, replicate_final(wide_urn_model, 150, 64, 5, chunk_size=chunk))
-    assert np.array_equal(
-        base, replicate_final(wide_urn_model, 150, 64, 5, workers=4,
-                              chunk_size=16))
+    for n in (150, *BLOCK_STEPS):  # the urn starts at step 0
+        base = replicate_final(wide_urn_model, n, 64, 5)
+        for chunk in (1, 7, 63, 64, 1000):
+            assert np.array_equal(
+                base, replicate_final(wide_urn_model, n, 64, 5, chunk_size=chunk))
+        for workers, chunk in ((2, 7), (4, 16)):
+            assert np.array_equal(
+                base, replicate_final(wide_urn_model, n, 64, 5, workers=workers,
+                                      chunk_size=chunk))
+
+
+def test_replicate_final_memory_does_not_grow_with_n(descents_model):
+    """The kernel streams its uniforms and frees each block's step tables."""
+    def peak(n):
+        tracemalloc.start()
+        try:
+            replicate_final(descents_model, n, 256, 11)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2400) <= 1.25 * peak(600)
+
+
+def _clamp_model():
+    """Ten atoms of mass 1/10 whose float CDF sums to 1 - 2**-53, with
+    zero-mass atoms in the middle and at the end."""
+    values = np.arange(12)
+    row = np.array([1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0])
+
+    def law_band(n, lo, hi):
+        return values, np.tile(row, (hi - lo + 1, 1)), 10
+
+    return DriftModel(name="clamp", start=ChainState(0, 0),
+                      affine=AffineMap(a=1, b=0, c=0, d=1), coeffs=None,
+                      law_band=law_band, increment_law=band_law(law_band),
+                      reachable_range=lambda n: (0, 11 * n))
+
+
+def test_step_table_picks_last_nonzero_atom_when_cdf_sums_below_one():
+    model = _clamp_model()
+    cdf = np.cumsum(np.full(10, 0.1))
+    assert cdf[-1] < 1.0
+    top = np.nextafter(1.0, 0.0)  # the largest uniform
+    u = np.array(sorted({0.0, top, *cdf, *np.nextafter(cdf, 0.0)}))
+    raw = np.full(len(u), 5, dtype=np.int64)
+    table = _StepTables(model).get(3, 5, 5)
+    pmf = increment_pmf(model, ChainState(3, 5))
+    assert _increments(table, raw, u).tolist() == [
+        _sample_raw_step(pmf, x) for x in u.tolist()]
+    assert _increments(table, raw[:1], np.array([top])).tolist() == [10]
+    assert replicate_final(model, 40, 16, 3).tolist() == [
+        simulate_final(model, 40, replicate_rng(3, i)) for i in range(16)]
+
+
+def test_replicate_final_single_atom_law():
+    # friedman(1, 1) adds one white ball per draw whatever is drawn.
+    assert replicate_final(make_friedman(1, 1), 300, 3, 0).tolist() == [301] * 3
 
 
 def test_replicate_final_seed_changes_output(descents_model):

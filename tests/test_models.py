@@ -101,10 +101,12 @@ def test_friedman_validation():
 
 
 def test_removal_urn_shifts_mu_for_white_draws(removal_uniform_model):
-    spec = removal_uniform_model.urn
-    assert spec.N == 1
-    assert spec.mu1.support() == (-1, 0, 1)
-    assert spec.mu2.support() == (0, 1, 2)
+    # b = 2 adds N = 1 ball per draw, so the urn holds 1 + 1 + n balls.  With
+    # every ball white the law is mu1 = mu - 1; with none white it is mu2 = mu.
+    n = 3
+    values, numerators, _ = removal_uniform_model.law_band(n, 0, 2 + n)
+    assert values[numerators[-1] > 0].tolist() == [-1, 0, 1]
+    assert values[numerators[0] > 0].tolist() == [0, 1, 2]
 
 
 def test_removal_urn_rejects_degenerate_mu():
