@@ -18,13 +18,11 @@ from .chain import (
     ChainState,
     DriftCoefficients,
     DriftModel,
-    conditional_moment,
     increment_pmf,
     replicate_final,
     replicate_rng,
     rng_id,
     simulate_final,
-    validate_drift_form,
 )
 from .errors import (
     BudgetExceededError,
@@ -49,6 +47,7 @@ from .exact import (
     lemma_iterate,
     lemma_profile,
     moment_of,
+    validate_drift_form,
 )
 from .measures import FiniteMeasure
 from .models import (
@@ -106,8 +105,6 @@ __all__ = [
     "DriftCoefficients",
     "DriftModel",
     "increment_pmf",
-    "conditional_moment",
-    "validate_drift_form",
     "rng_id",
     "replicate_rng",
     "simulate_final",
@@ -141,6 +138,7 @@ __all__ = [
     "LatticeDistribution",
     "evolve_iter",
     "evolve_exact",
+    "validate_drift_form",
     "moment_of",
     "MomentSeries",
     "exact_moments12",

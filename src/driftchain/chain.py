@@ -15,7 +15,9 @@ A model states its transition law once, as an integer band over a range of
 states (``DriftModel.law_band``); the exact DP and the Monte Carlo sampler
 read it through :func:`transition_band`, and the per-state law is one row of
 it (:func:`band_law`).  Everything downstream (exact DP, CLT constants,
-Monte Carlo) only touches models through this interface.
+Monte Carlo) only touches models through this interface.  The check that a
+model's law has the drift form it states sweeps the DP, so it lives beside
+it, in :func:`driftchain.exact.validate_drift_form`.
 """
 
 from __future__ import annotations
@@ -67,9 +69,6 @@ class AffineMap:
     def s_value(self, n: int, raw: int | Fraction) -> Fraction:
         return Fraction(self.a * raw + self.b + self.c * n, self.d)
 
-    def s_increment(self, raw_step: int | Fraction) -> Fraction:
-        return Fraction(self.a * raw_step + self.c, self.d)
-
     def s_array(self, n: int, raw: np.ndarray) -> np.ndarray:
         return (self.a * raw.astype(np.float64) + self.b + self.c * n) / self.d
 
@@ -96,16 +95,6 @@ class DriftCoefficients:
 
     def alpha_over_n(self, k: int, n: int) -> Fraction:
         return self.alpha_lim[k - 1] / (n + self.c)
-
-    def drift_moment(self, k: int, n: int, s: Fraction) -> Fraction:
-        """The affine conditional-moment ansatz D_k(n) - (alpha_k(n)/n) S."""
-        return self.D_n(k, n) - self.alpha_over_n(k, n) * s
-
-    def alpha_limit(self, k: int) -> Fraction:
-        return self.alpha_lim[k - 1]
-
-    def D_limit(self, k: int) -> Fraction:
-        return self.D_lim[k - 1]
 
 
 @dataclass(frozen=True)
@@ -180,40 +169,6 @@ def band_masses(numerators: np.ndarray, den: int) -> np.ndarray:
     if den < 2**53:
         return np.asarray(numerators, dtype=np.float64) / float(den)
     return (np.asarray(numerators, dtype=object) / den).astype(np.float64)
-
-
-def conditional_moment(model: DriftModel, state: ChainState, k: int) -> Fraction | float:
-    """E[a_{n+1}^k | state] with the increment expressed in S units."""
-    if k not in (1, 2, 3):
-        raise ValueError(f"conditional moments are defined for k in 1..3, got {k}")
-    pmf = increment_pmf(model, state)
-    return sum(m * model.affine.s_increment(v) ** k for v, m in pmf.atoms)
-
-
-def validate_drift_form(model: DriftModel, n_max: int, k: int,
-                        state_filter: Callable[[int, int], bool] | None = None) -> float:
-    """Worst absolute gap between conditional moments and the drift ansatz.
-
-    Sweeps every DP-reachable state with start <= n <= n_max (exact rational
-    arithmetic, so a genuinely affine model comes back as exactly 0.0).
-    ``state_filter(n, raw)`` can restrict the sweep to a subset of states.
-    """
-    from . import exact  # local import: exact depends on this module
-
-    worst = Fraction(0)
-    for dist in exact.evolve_iter(model, n_max, mode="exact"):
-        n = dist.n
-        for raw, p in dist.items():
-            if p == 0:
-                continue
-            if state_filter is not None and not state_filter(n, raw):
-                continue
-            lhs = conditional_moment(model, ChainState(n, raw), k)
-            rhs = model.coeffs.drift_moment(k, n, model.affine.s_value(n, raw))
-            gap = abs(lhs - rhs)
-            if gap > worst:
-                worst = gap
-    return float(worst)
 
 
 # ---------------------------------------------------------------------------

@@ -214,10 +214,10 @@ def cmd_theory(args: argparse.Namespace) -> int:
         report["reason"] = str(exc)
     else:
         coeffs = model.coeffs
-        report["alpha1"] = float(coeffs.alpha_limit(1))
-        report["alpha2"] = float(coeffs.alpha_limit(2))
-        report["D1"] = float(coeffs.D_limit(1))
-        report["D2"] = float(coeffs.D_limit(2))
+        report["alpha1"] = float(coeffs.alpha_lim[0])
+        report["alpha2"] = float(coeffs.alpha_lim[1])
+        report["D1"] = float(coeffs.D_lim[0])
+        report["D2"] = float(coeffs.D_lim[1])
         try:
             params = model_clt_params(model, check_degenerate=False)
         except SmallUrnError as exc:

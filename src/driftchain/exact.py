@@ -6,9 +6,12 @@ model's ``law_band``, its only statement of the transition law) through
 :func:`~driftchain.chain.transition_band`.  In ``exact`` mode the law is
 kept as Python-int numerators over one shared denominator, the product of
 the step denominators; ``float`` mode runs the same sweep in doubles.
-``exact_moments12`` runs the closed first and second moment recursions
-implied by the drift ansatz, which is much cheaper than the DP and serves
-as an independent route to the same numbers.
+``validate_drift_form`` walks the same sweep and checks every reachable
+state's conditional increment moments, read from the same band rows,
+against the drift data the model states.  ``exact_moments12`` runs the
+closed first and second moment recursions implied by the drift ansatz,
+which is much cheaper than the DP and serves as an independent route to
+the same numbers.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .chain import AffineMap, DriftModel, band_masses, transition_band
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, UnreachableStateError
 
 DEFAULT_CELL_BUDGET = 10_000_000
 
@@ -117,6 +120,45 @@ def evolve_exact(model: DriftModel, n_target: int, mode: str = "exact",
     for dist in evolve_iter(model, n_target, mode=mode, cell_budget=cell_budget):
         pass
     return dist
+
+
+def validate_drift_form(model: DriftModel, n_max: int, k: int,
+                        state_filter: Callable[[int, int], bool] | None = None) -> float:
+    """Worst absolute gap between conditional moments and the drift ansatz.
+
+    Sweeps every DP-reachable state with start <= n <= n_max and compares
+    E[a_{n+1}^k | raw] with D_k(n) - (alpha_k(n)/n) S_n.  A raw step v moves
+    S by (a*v + c)/d, so the conditional moments of one step are the
+    Python-int row sums  sum_j num_ij (a*v_j + c)^k  over den*d^k, read from
+    one transition band over the live states; a genuinely affine model
+    comes back as exactly 0.0.  ``state_filter(n, raw)`` can restrict the
+    sweep to a subset of states.
+    """
+    if k not in (1, 2, 3):
+        raise ValueError(f"conditional moments are defined for k in 1..3, got {k}")
+    affine, coeffs = model.affine, model.coeffs
+    worst = Fraction(0)
+    for dist in evolve_iter(model, n_max, mode="exact"):
+        n = dist.n
+        raws = (dist.offset + np.flatnonzero(dist.weights != 0)).tolist()
+        lo, hi = raws[0], raws[-1]
+        rlo, rhi = model.reachable_range(n)
+        if lo < rlo or hi > rhi:
+            raise UnreachableStateError(
+                f"{model.name}: states {lo}..{hi} at step {n} leave the "
+                f"reachable range [{rlo}, {rhi}]")
+        values, numerators, den = transition_band(model, n, lo, hi)
+        powers = np.array([(affine.a * v + affine.c) ** k for v in values.tolist()],
+                          dtype=object)
+        sums = np.asarray(numerators, dtype=object) @ powers
+        scale = den * affine.d ** k
+        drift, rate = coeffs.D_n(k, n), coeffs.alpha_over_n(k, n)
+        for raw in raws:
+            if state_filter is not None and not state_filter(n, raw):
+                continue
+            worst = max(worst, abs(Fraction(sums[raw - lo], scale)
+                                   - (drift - rate * affine.s_value(n, raw))))
+    return float(worst)
 
 
 def moment_of(dist: LatticeDistribution, affine: AffineMap, k: int) -> Fraction | float:

@@ -29,7 +29,7 @@ DEFAULT_K_MAX = 4
 
 # Relative floors for even moments (fraction of the target moment) and the
 # scale factor for the odd-moment O(n^-1/2) bias allowance.  Heuristics,
-# deliberately loose; override via ``floors=`` for tighter runs.
+# deliberately loose.
 EVEN_MOMENT_REL_FLOOR = {2: 0.02, 4: 0.05}
 ODD_MOMENT_BIAS_SCALE = 4.0
 
@@ -112,21 +112,17 @@ class ExperimentReport:
 
 
 def check_moments(z: np.ndarray, limit_variance: float, k_max: int, n: int,
-                  m_bound: float, floors: dict[int, float] | None = None) -> list[MomentCheck]:
+                  m_bound: float) -> list[MomentCheck]:
     """Compare empirical moments of z against the limit Gaussian's.
 
-    ``floors`` overrides the default absolute floor per order; the full
-    tolerance for order k is always ``3*SE + floor``.
+    The tolerance for order k is ``3*SE`` plus :func:`default_moment_floor`.
     """
     targets = gaussian_moments(limit_variance, k_max)
     checks = []
     for k in range(1, k_max + 1):
         target = float(targets[k])
         estimate, se = empirical_moment(z, k)
-        if floors is not None and k in floors:
-            floor = floors[k]
-        else:
-            floor = default_moment_floor(k, n, limit_variance, target, m_bound)
+        floor = default_moment_floor(k, n, limit_variance, target, m_bound)
         tolerance = 3.0 * se + floor
         checks.append(MomentCheck(k=k, estimate=estimate, se=se, target=target,
                                   tolerance=tolerance,
@@ -136,10 +132,9 @@ def check_moments(z: np.ndarray, limit_variance: float, k_max: int, n: int,
 
 def build_report(z: np.ndarray, model_name: str, n: int, reps: int,
                  master_seed: int, limit_variance: float, ell: float,
-                 m_bound: float, k_max: int = DEFAULT_K_MAX,
-                 floors: dict[int, float] | None = None) -> ExperimentReport:
+                 m_bound: float, k_max: int = DEFAULT_K_MAX) -> ExperimentReport:
     """Assemble a report from already-standardised samples (deterministic)."""
-    checks = check_moments(z, limit_variance, k_max, n, m_bound, floors=floors)
+    checks = check_moments(z, limit_variance, k_max, n, m_bound)
     ks = ks_distance(z, limit_variance)
     targets = tuple(float(t) for t in gaussian_moments(limit_variance, k_max))
     return ExperimentReport(
@@ -162,12 +157,11 @@ def build_report(z: np.ndarray, model_name: str, n: int, reps: int,
 
 
 def verify(model: DriftModel, n: int, reps: int, master_seed: int,
-           k_max: int = DEFAULT_K_MAX,
-           floors: dict[int, float] | None = None) -> ExperimentReport:
+           k_max: int = DEFAULT_K_MAX) -> ExperimentReport:
     """Simulate, standardise, and run the moment checks for one model."""
     params = model_clt_params(model)
     raws = replicate_final(model, n, reps, master_seed)
     z = standardize(raws, model, n)
     return build_report(z, model.name, n, reps, master_seed,
                         float(params.limit_variance), float(params.ell),
-                        float(model.coeffs.M), k_max=k_max, floors=floors)
+                        float(model.coeffs.M), k_max=k_max)

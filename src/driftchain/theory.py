@@ -62,10 +62,8 @@ def clt_params(alpha1, alpha2, D1, D2, alpha3=None, D3=None,
 
 def model_clt_params(model: DriftModel, check_degenerate: bool = True) -> CltParams:
     """CLT constants of a model, from its declared coefficient limits."""
-    c = model.coeffs
-    return clt_params(c.alpha_limit(1), c.alpha_limit(2),
-                      c.D_limit(1), c.D_limit(2),
-                      alpha3=c.alpha_limit(3), D3=c.D_limit(3),
+    (a1, a2, a3), (d1, d2, d3) = model.coeffs.alpha_lim, model.coeffs.D_lim
+    return clt_params(a1, a2, d1, d2, alpha3=a3, D3=d3,
                       check_degenerate=check_degenerate)
 
 

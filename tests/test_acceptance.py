@@ -143,8 +143,8 @@ def test_c5_decomposition_and_classifier_agree(urn_spec_stream):
         total += 1
         model = make_balanced_urn(spec)
         coeffs = model.coeffs
-        a1, a2 = coeffs.alpha_limit(1), coeffs.alpha_limit(2)
-        d1, d2 = coeffs.D_limit(1), coeffs.D_limit(2)
+        a1, a2 = coeffs.alpha_lim[:2]
+        d1, d2 = coeffs.D_lim[:2]
         reason = urn_degeneracy_check(spec)
         if a1 == -1:
             # no drift limit at all; the classifier must flag it
@@ -360,21 +360,21 @@ def test_c9_drift_form_exact_for_descents_and_urns(
               removal_uniform_model)
     for model in models:
         for k in (1, 2, 3):
-            assert validate_drift_form(model, 20, k) == 0.0, (model.name, k)
+            assert validate_drift_form(model, 40, k) == 0.0, (model.name, k)
     assert time.perf_counter() - t0 < 5.0
 
 
 def test_c9_circle_drift_form_fails_only_at_zero_surplus(circle_model):
     t0 = time.perf_counter()
-    assert validate_drift_form(circle_model, 20, 1) == 0.0
+    assert validate_drift_form(circle_model, 40, 1) == 0.0
     for k, worst_gap in ((2, 0.25), (3, 0.75)):
         # surplus is zero exactly when raw == n + 2
-        away = validate_drift_form(circle_model, 20, k,
+        away = validate_drift_form(circle_model, 40, k,
                                    state_filter=lambda n, raw: raw != n + 2)
         assert away == 0.0, k
-        at_zero = validate_drift_form(circle_model, 20, k,
+        at_zero = validate_drift_form(circle_model, 40, k,
                                       state_filter=lambda n, raw: raw == n + 2)
         # gap is 1/(n+2) for k=2 and 3/(n+2) for k=3: largest at n=2
         assert at_zero == worst_gap, k
-        assert validate_drift_form(circle_model, 20, k) == worst_gap, k
+        assert validate_drift_form(circle_model, 40, k) == worst_gap, k
     assert time.perf_counter() - t0 < 5.0

@@ -1,5 +1,6 @@
 """Chain-core: affine scaling, drift validation, and seeded sampling."""
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from driftchain import (
     ChainState,
     DriftModel,
     UnreachableStateError,
-    conditional_moment,
     increment_pmf,
     make_friedman,
     replicate_final,
@@ -38,8 +38,6 @@ def test_affine_map_values():
     m = AffineMap(a=2, b=1, c=-1, d=2)
     assert m.s_value(5, 2) == 0
     assert m.s_value(4, 3) == Fraction(3, 2)
-    assert m.s_increment(1) == Fraction(1, 2)
-    assert m.s_increment(0) == Fraction(-1, 2)
 
 
 def test_affine_map_array_matches_scalar():
@@ -63,12 +61,27 @@ def test_increment_pmf_rejects_unreachable_states(descents_model):
         increment_pmf(descents_model, ChainState(0, 0))
 
 
-def test_conditional_moment_orders(descents_model):
-    state = ChainState(3, 1)
-    assert conditional_moment(descents_model, state, 1) == 0
-    assert conditional_moment(descents_model, state, 2) == Fraction(1, 4)
+def test_drift_form_reports_a_wrong_correction_exactly(descents_model):
+    # D_2(n) gains (1/7)/(n + 1), largest at the start n = 1: a gap of 1/14
+    coeffs = dataclasses.replace(descents_model.coeffs,
+                                 D_corr=(0, Fraction(1, 7), 0))
+    model = dataclasses.replace(descents_model, coeffs=coeffs)
+    assert validate_drift_form(model, 12, 2) == float(Fraction(1, 14))
+    assert validate_drift_form(model, 12, 1) == 0.0
+    assert validate_drift_form(model, 12, 3) == 0.0
+
+
+def test_drift_form_rejects_orders_above_three(descents_model):
     with pytest.raises(ValueError):
-        conditional_moment(descents_model, state, 4)
+        validate_drift_form(descents_model, 12, 4)
+
+
+def test_drift_form_rejects_states_outside_the_reachable_range(descents_model):
+    # the DP reaches raw = n - 1 at step n; this range stops one short
+    model = dataclasses.replace(descents_model,
+                                reachable_range=lambda n: (0, max(0, n - 2)))
+    with pytest.raises(UnreachableStateError, match="reachable"):
+        validate_drift_form(model, 12, 1)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

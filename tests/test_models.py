@@ -165,7 +165,7 @@ def test_random_urn_drift_form_is_exact():
     for spec in specs:
         model = make_balanced_urn(spec)
         for k in (1, 2, 3):
-            assert validate_drift_form(model, 8, k) == 0.0, (spec, k)
+            assert validate_drift_form(model, 16, k) == 0.0, (spec, k)
 
 
 # ---------------------------------------------------------------------------

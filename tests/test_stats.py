@@ -108,10 +108,12 @@ def test_verify_descents_passes_at_modest_size(descents_model):
     assert report.limit_variance == pytest.approx(float(params.limit_variance))
 
 
-def test_verify_floor_override_can_force_failure(descents_model):
+def test_verify_floor_override_can_force_failure(descents_model, monkeypatch):
     # 3*SE alone leaves slack; a negative floor squeezes tolerance to zero
-    report = verify(descents_model, 300, 500, 9,
-                    floors={1: -1.0, 2: -1.0, 3: -1.0, 4: -1.0})
+    import driftchain.stats as stats
+
+    monkeypatch.setattr(stats, "default_moment_floor", lambda *args: -1.0)
+    report = verify(descents_model, 300, 500, 9)
     assert not report.passed
 
 

@@ -140,8 +140,8 @@ def test_gaussian_moments_float_inputs():
 def _direct_d(spec):
     """D via the generic limit route, None when alpha1 = -1 (no centering)."""
     coeffs = make_balanced_urn(spec).coeffs
-    a1, a2 = coeffs.alpha_limit(1), coeffs.alpha_limit(2)
-    d1, d2 = coeffs.D_limit(1), coeffs.D_limit(2)
+    a1, a2 = coeffs.alpha_lim[:2]
+    d1, d2 = coeffs.D_lim[:2]
     if a1 == -1:
         return None
     ell = d1 / (a1 + 1)
