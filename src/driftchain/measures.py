@@ -1,13 +1,14 @@
 """Finitely supported probability measures on an integer lattice.
 
-Masses may be exact rationals (``Fraction``/``int``) or floats.  When every
-mass is rational the measure must sum to one exactly; float measures get a
-1e-12 tolerance.  Zero-mass atoms are dropped on construction so ``support``
-always reports the effective support.
+Masses are exact: each is stored as a ``Fraction`` and they must sum to one
+exactly.  A float mass is taken at its binary value, so 0.25/0.75 is a
+measure while ten atoms of 0.1 are not.  Zero-mass atoms are dropped on
+construction so ``support`` always reports the effective support.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -15,11 +16,14 @@ from typing import Iterable, Sequence
 
 from .errors import ModelValidationError
 
-SUM_TOLERANCE = 1e-12
 
-
-def _is_exact(x) -> bool:
-    return isinstance(x, Rational)
+def _exact(mass) -> Fraction:
+    """``mass`` as a Fraction; a finite float converts at its binary value."""
+    if not (isinstance(mass, Rational)
+            or isinstance(mass, float) and math.isfinite(mass)):
+        raise ModelValidationError(
+            f"mass {mass!r} is neither rational nor a finite float")
+    return Fraction(mass)
 
 
 @dataclass(frozen=True)
@@ -28,19 +32,19 @@ class FiniteMeasure:
 
     ``atoms`` is a tuple of ``(value, mass)`` pairs kept sorted by value.
     Values must be distinct rationals (integers in all built-in models).
+    Masses are given as rationals or finite floats and stored as the
+    ``Fraction`` of their exact value; they must sum to exactly one.
     """
 
-    atoms: tuple[tuple[int | Fraction, Fraction | float], ...]
+    atoms: tuple[tuple[int | Fraction, Fraction], ...]
 
     def __post_init__(self):
         cleaned = []
         for value, mass in self.atoms:
-            if not _is_exact(value):
+            if not isinstance(value, Rational):
                 raise ModelValidationError(
                     f"atom value {value!r} is not rational")
-            if not (_is_exact(mass) or isinstance(mass, float)):
-                raise ModelValidationError(
-                    f"atom mass {mass!r} is neither rational nor float")
+            mass = _exact(mass)
             if mass < 0:
                 raise ModelValidationError(
                     f"negative mass {mass} at value {value}")
@@ -54,13 +58,9 @@ class FiniteMeasure:
         if len(set(values)) != len(values):
             raise ModelValidationError(f"duplicate atom values in {values}")
         total = sum(m for _, m in cleaned)
-        if all(_is_exact(m) for _, m in cleaned):
-            if total != 1:
-                raise ModelValidationError(
-                    f"rational masses sum to {total}, expected exactly 1")
-        elif abs(total - 1.0) > SUM_TOLERANCE:
+        if total != 1:
             raise ModelValidationError(
-                f"masses sum to {total!r}, outside 1 +/- {SUM_TOLERANCE}")
+                f"masses sum to {total}, expected exactly 1")
         object.__setattr__(self, "atoms", tuple(cleaned))
 
     # -- constructors ------------------------------------------------------
@@ -82,9 +82,11 @@ class FiniteMeasure:
 
     @classmethod
     def mixture(cls, weighted: Sequence[tuple[Fraction | float, "FiniteMeasure"]]) -> "FiniteMeasure":
-        """Convex combination ``sum w_i * mu_i`` (weights must sum to one)."""
+        """Exact convex combination ``sum w_i * mu_i``; float weights count
+        at their binary value and the weights must sum to exactly one."""
         acc: dict = {}
         for weight, mu in weighted:
+            weight = _exact(weight)
             if weight == 0:
                 continue
             for value, mass in mu.atoms:
@@ -94,17 +96,13 @@ class FiniteMeasure:
     # -- accessors ---------------------------------------------------------
 
     @property
-    def values(self) -> tuple:
-        return tuple(v for v, _ in self.atoms)
-
-    @property
     def masses(self) -> tuple:
         return tuple(m for _, m in self.atoms)
 
     def support(self) -> tuple:
-        return self.values
+        return tuple(v for v, _ in self.atoms)
 
-    def mass(self, value) -> Fraction | float:
+    def mass(self, value) -> Fraction:
         for v, m in self.atoms:
             if v == value:
                 return m
@@ -121,13 +119,10 @@ class FiniteMeasure:
             raise ModelValidationError("measure is not a point mass")
         return self.atoms[0][0]
 
-    def max_abs_value(self):
-        return max(abs(v) for v in self.values)
-
     # -- arithmetic --------------------------------------------------------
 
-    def moment(self, k: int) -> Fraction | float:
-        """k-th raw moment, exact when masses and values are rational."""
+    def moment(self, k: int) -> Fraction:
+        """k-th raw moment, exact since masses and values are rational."""
         if k < 0:
             raise ValueError("moment order must be >= 0")
         return sum(m * v**k for v, m in self.atoms)

@@ -146,21 +146,20 @@ class UrnSpec:
 def make_balanced_urn(spec: UrnSpec, name: str | None = None) -> DriftModel:
     """Chain of white-ball counts for a balanced urn; S_n = whites - a0."""
     values = sorted(set(spec.mu1.support()) | set(spec.mu2.support()))
-    den = math.lcm(*(Fraction(m).denominator
-                     for mu in (spec.mu1, spec.mu2) for m in mu.masses))
-    num1 = [int(Fraction(spec.mu1.mass(v)) * den) for v in values]
-    num2 = [int(Fraction(spec.mu2.mass(v)) * den) for v in values]
+    den = math.lcm(*(m.denominator for mu in (spec.mu1, spec.mu2) for m in mu.masses))
+    num1 = [int(spec.mu1.mass(v) * den) for v in values]
+    num2 = [int(spec.mu2.mass(v) * den) for v in values]
 
     m1 = [spec.mu1.moment(k) for k in (1, 2, 3)]
     m2 = [spec.mu2.moment(k) for k in (1, 2, 3)]
 
     # Out of w = S_n + a0 white balls among total(n) = N (n + c), the k-th
     # increment moment is m2k - (w / total(n)) (m2k - m1k).
-    alpha_lim = tuple((m2[k] - m1[k]) / Fraction(spec.N) for k in range(3))
+    alpha_lim = tuple((m2[k] - m1[k]) / spec.N for k in range(3))
     coeffs = DriftCoefficients(
         c=Fraction(spec.a0 + spec.b0, spec.N),
         alpha_lim=alpha_lim,
-        D_lim=tuple(Fraction(m2[k]) for k in range(3)),
+        D_lim=tuple(m2),
         D_corr=tuple(-spec.a0 * a for a in alpha_lim),
         M=Fraction(max(abs(v) for v in values)),
     )

@@ -99,10 +99,10 @@ class UrnVarianceDecomposition:
 
 def urn_variance_decomposition(spec: UrnSpec) -> UrnVarianceDecomposition:
     N = spec.N
-    r1 = Fraction(spec.mu1.moment(1)) / N
-    r2 = Fraction(spec.mu2.moment(1)) / N
-    v1 = Fraction(spec.mu1.moment(2)) / N**2 - r1**2
-    v2 = Fraction(spec.mu2.moment(2)) / N**2 - r2**2
+    r1 = spec.mu1.moment(1) / N
+    r2 = spec.mu2.moment(1) / N
+    v1 = spec.mu1.moment(2) / N**2 - r1**2
+    v2 = spec.mu2.moment(2) / N**2 - r2**2
     rho = r1 - r2
     alpha1 = -rho
     if 2 * alpha1 + 1 <= 0:
@@ -179,9 +179,9 @@ def removal_params(b: int, mu: FiniteMeasure) -> CltParams:
     if mu.is_point(0) or mu.is_point(b):
         raise DegenerateLimitError(
             0, "removal urn with mu concentrated on 0 or on b is degenerate (D = 0)")
-    m = Fraction(mu.moment(1))
-    s2 = Fraction(mu.moment(2)) - m**2
-    m3 = Fraction(mu.moment(3))
+    m = mu.moment(1)
+    s2 = mu.moment(2) - m**2
+    m3 = mu.moment(3)
     d_value = s2 + (m / b) * (1 - m / b)
     return CltParams(
         alpha1=Fraction(1, b - 1),

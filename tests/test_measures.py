@@ -1,5 +1,6 @@
 """Atomic finite measures: construction, validation, moments."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ def test_uniform():
 def test_atoms_are_sorted_and_zero_mass_dropped():
     mu = FiniteMeasure.from_pairs([(2, Fraction(1, 2)), (0, Fraction(1, 2)),
                                    (5, Fraction(0))])
-    assert mu.values == (0, 2)
+    assert mu.support() == (0, 2)
 
 
 def test_duplicate_values_rejected():
@@ -46,11 +47,23 @@ def test_rational_masses_must_sum_to_one_exactly():
         FiniteMeasure.from_pairs([(0, Fraction(1, 2)), (1, Fraction(1, 3))])
 
 
-def test_float_masses_allowed_within_tolerance():
+def test_float_masses_taken_at_binary_value():
     mu = FiniteMeasure.from_pairs([(0, 0.25), (1, 0.75)])
-    assert mu.mass(1) == 0.75
-    with pytest.raises(ModelValidationError):
+    assert mu.mass(1) == Fraction(3, 4) and type(mu.mass(1)) is Fraction
+    with pytest.raises(ModelValidationError, match="sum"):
         FiniteMeasure.from_pairs([(0, 0.25), (1, 0.7)])
+    # 0.1 is not 1/10 in binary: ten of them miss one by 2**-54.
+    with pytest.raises(ModelValidationError, match="sum"):
+        FiniteMeasure.from_pairs([(v, 0.1) for v in range(10)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_masses_rejected(bad):
+    with pytest.raises(ModelValidationError, match="finite"):
+        FiniteMeasure.from_pairs([(0, bad), (1, 1.0)])
+    with pytest.raises(ModelValidationError, match="finite"):
+        FiniteMeasure.mixture([(bad, FiniteMeasure.point(0)),
+                               (1.0, FiniteMeasure.point(1))])
 
 
 def test_empty_measure_rejected():
@@ -70,10 +83,6 @@ def test_mixture():
     mix = FiniteMeasure.mixture([(Fraction(1, 4), a), (Fraction(3, 4), b)])
     assert mix.mass(0) == Fraction(1, 4)
     assert mix.mass(2) == Fraction(3, 4)
-
-
-def test_max_abs_value():
-    assert FiniteMeasure.uniform([-3, 0, 2]).max_abs_value() == 3
 
 
 @st.composite
@@ -100,4 +109,4 @@ def test_shift_moves_the_mean(mu, delta):
 
 @given(rational_measures(), st.integers(1, 4))
 def test_moments_bounded_by_max_abs(mu, k):
-    assert abs(mu.moment(k)) <= mu.max_abs_value() ** k
+    assert abs(mu.moment(k)) <= max(abs(v) for v in mu.support()) ** k

@@ -23,6 +23,7 @@ from driftchain import (
     make_balanced_urn,
     make_friedman,
     make_removal_urn,
+    replicate_final,
     replicate_rng,
     simulate_idla,
     validate_drift_form,
@@ -166,6 +167,38 @@ def test_random_urn_drift_form_is_exact():
         model = make_balanced_urn(spec)
         for k in (1, 2, 3):
             assert validate_drift_form(model, 16, k) == 0.0, (spec, k)
+
+
+def test_urn_with_inexact_float_masses_is_rejected():
+    # In binary 0.3 + 0.7 is 1 - 2**-54: built anyway, the exact DP of this
+    # urn would leak mass while each sampler handled it its own way.
+    with pytest.raises(ModelValidationError, match="sum"):
+        make_balanced_urn(UrnSpec(
+            N=1, mu1=FiniteMeasure.from_pairs([(0, 0.3), (1, 0.7)]),
+            mu2=FiniteMeasure.from_pairs([(0, 0.6), (2, 0.4)]), a0=1, b0=2))
+
+
+def test_dyadic_float_urn_equals_its_fraction_twin():
+    def urn(mu1, mu2):
+        return make_balanced_urn(UrnSpec(N=2, mu1=FiniteMeasure.from_pairs(mu1),
+                                         mu2=FiniteMeasure.from_pairs(mu2),
+                                         a0=1, b0=1))
+
+    floats = urn([(-1, 0.25), (2, 0.75)], [(0, 0.5), (2, 0.5)])
+    twin = urn([(-1, Fraction(1, 4)), (2, Fraction(3, 4))],
+               [(0, Fraction(1, 2)), (2, Fraction(1, 2))])
+    c = floats.coeffs
+    assert c == twin.coeffs
+    assert all(type(x) is Fraction
+               for x in (c.c, c.M, *c.alpha_lim, *c.D_lim, *c.D_corr))
+    for n in range(41):
+        lo, hi = twin.reachable_range(n)
+        f_values, f_nums, f_den = floats.law_band(n, lo, hi)
+        t_values, t_nums, t_den = twin.law_band(n, lo, hi)
+        assert f_den == t_den
+        assert np.array_equal(f_values, t_values) and np.array_equal(f_nums, t_nums)
+    assert np.array_equal(replicate_final(floats, 120, 256, 11),
+                          replicate_final(twin, 120, 256, 11))
 
 
 # ---------------------------------------------------------------------------
