@@ -22,10 +22,8 @@ it, in :func:`driftchain.exact.validate_drift_form`.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -218,82 +216,67 @@ def simulate_final(model: DriftModel, n: int, rng: np.random.Generator) -> int:
     return raw
 
 
-class _StepTables:
-    """Per-step cache of float CDF tables for a contiguous band of raw states.
+def _step_table(model: DriftModel, n: int, lo: int, hi: int):
+    """Float CDF table of step ``n`` for the raw states lo..hi.
 
-    Row contents depend only on (model, n, raw) — each mass is the exactly
-    rounded float of the rational pmf mass — so lazily widening the band for
-    one chunk of replicates never changes what another chunk samples.  The
-    CDF is kept transposed, one contiguous array per column.  The kernel
-    makes one cache per block of steps and drops it when the block ends.
+    A row depends only on (model, n, raw): each mass is the exactly rounded
+    float of the rational pmf mass, and the cumulative sum and the clamp below
+    work row by row.  So a chunk of replicates samples the same increments
+    whatever range its table spans.  The CDF is kept transposed, one
+    contiguous array per column.
     """
-
-    _PAD = 16
-
-    def __init__(self, model: DriftModel):
-        self.model = model
-        self._tables: dict[int, tuple] = {}
-        self._lock = threading.Lock()
-
-    def get(self, n: int, lo: int, hi: int):
-        with self._lock:
-            cached = self._tables.get(n)
-            if cached is not None and cached[0] <= lo and hi <= cached[1]:
-                return cached
-            if cached is not None:
-                lo = min(lo, cached[0])
-                hi = max(hi, cached[1])
-            rlo, rhi = self.model.reachable_range(n)
-            lo = max(rlo, lo - self._PAD)
-            hi = min(rhi, hi + self._PAD)
-            table = self._build(n, lo, hi)
-            self._tables[n] = table
-            return table
-
-    def _build(self, n: int, lo: int, hi: int):
-        values, numerators, den = transition_band(self.model, n, lo, hi)
-        masses = band_masses(numerators, den)
-        # A pick is the number of CDF entries at or below u, clamped to the
-        # last atom of nonzero mass in case the row sums to just under 1.  So
-        # the last column is never needed, and in rows that end in zero
-        # masses the entries from the last nonzero atom on are set to inf.
-        cdf_t = np.ascontiguousarray(np.cumsum(masses[:, :-1], axis=1).T)
-        if not masses[:, -1].all():
-            ncols = masses.shape[1]
-            last_nonzero = ncols - 1 - np.argmax(masses[:, ::-1] > 0, axis=1)
-            cdf_t[np.arange(ncols - 1)[:, None] >= last_nonzero] = np.inf
-        return (lo, hi, values, cdf_t)
+    values, numerators, den = transition_band(model, n, lo, hi)
+    masses = band_masses(numerators, den)
+    # A pick is the number of CDF entries at or below u, clamped to the
+    # last atom of nonzero mass in case the row sums to just under 1.  So
+    # the last column is never needed, and in rows that end in zero
+    # masses the entries from the last nonzero atom on are set to inf.
+    cdf_t = np.ascontiguousarray(np.cumsum(masses[:, :-1], axis=1).T)
+    if not masses[:, -1].all():
+        ncols = masses.shape[1]
+        last_nonzero = ncols - 1 - np.argmax(masses[:, ::-1] > 0, axis=1)
+        cdf_t[np.arange(ncols - 1)[:, None] >= last_nonzero] = np.inf
+    return (lo, values, cdf_t)
 
 
-# Steps per block of the Monte Carlo kernel.  Each replicate draws this many
-# uniforms at a time, and the step tables of a block are freed when it ends.
+# Steps per block of the Monte Carlo kernel: each replicate of a running
+# chunk draws this many uniforms at a time into a (step, replicate) buffer.
 STEP_BLOCK = 256
 
 
-def _advance(raw: np.ndarray, gens: list, t0: int, width: int,
-             tables: _StepTables, tile: np.ndarray, block: np.ndarray) -> None:
-    """Move one chunk of replicates through steps t0 .. t0 + width - 1.
+def _run_chunk(model: DriftModel, n: int, master_seed: int,
+               indices: range) -> np.ndarray:
+    """Final raw states of replicates ``indices``, run on their own.
 
-    Each replicate's next ``width`` uniforms are drawn into ``tile`` rows,
-    STEP_BLOCK replicates at a time, and copied transposed into ``block`` so
-    that step t reads one contiguous row.  ``raw`` is updated in place.
+    The chunk makes its own generators and buffers.  Block by block, each
+    replicate's next STEP_BLOCK uniforms are drawn into ``tile`` rows,
+    STEP_BLOCK replicates at a time, and copied transposed into ``uniforms``
+    so that step t reads one contiguous row; then the block's steps run one
+    at a time, each over a table spanning the chunk's current states.
     """
+    gens = [replicate_rng(master_seed, i) for i in indices]
     count = len(gens)
-    uniforms = block[:width, :count]
-    for j0 in range(0, count, STEP_BLOCK):
-        part = tile[:min(STEP_BLOCK, count - j0), :width]
-        for row, g in zip(part, gens[j0:j0 + STEP_BLOCK]):
-            g.random(out=row)
-        uniforms[:, j0:j0 + len(part)] = part.T
-    for t in range(width):
-        table = tables.get(t0 + t, int(raw.min()), int(raw.max()))
-        raw += _increments(table, raw, uniforms[t])
+    raw = np.full(count, model.start.raw, dtype=np.int64)
+    depth = min(STEP_BLOCK, n - model.start.n)
+    tile = np.empty((min(STEP_BLOCK, count), depth))
+    uniforms = np.empty((depth, count))
+    for t0 in range(model.start.n, n, STEP_BLOCK):
+        width = min(STEP_BLOCK, n - t0)
+        for j0 in range(0, count, STEP_BLOCK):
+            part = tile[:min(STEP_BLOCK, count - j0), :width]
+            for row, g in zip(part, gens[j0:j0 + STEP_BLOCK]):
+                g.random(out=row)
+            uniforms[:width, j0:j0 + len(part)] = part.T
+        for t in range(width):
+            table = _step_table(model, t0 + t, int(raw.min()), int(raw.max()))
+            raw += _increments(table, raw, uniforms[t])
+    return raw
 
 
 def _increments(table: tuple, raw: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Raw increments for states ``raw`` and uniforms ``u``, one per replicate:
     one comparison per column of the clamped, transposed step table."""
-    lo, _, values, cdf_t = table
+    lo, values, cdf_t = table
     rows = raw - lo
     picks = np.zeros(len(raw), dtype=np.intp)
     for column in cdf_t:
@@ -310,46 +293,27 @@ def replicate_final(model: DriftModel, n: int, reps: int, master_seed: int,
     in value order.  The output array is therefore bitwise identical for any
     ``workers``/``chunk_size`` choice.
 
-    The kernel streams: every replicate keeps one generator, and the steps
-    run in blocks of STEP_BLOCK.  Within a block the replicates run in chunks
-    of ``chunk_size`` (spread over ``workers`` threads), each chunk drawing
-    its next STEP_BLOCK uniforms per replicate into a (step, replicate)
-    buffer, then taking the block's steps one at a time.  Each step's CDF
-    table is built once per block, shared by every chunk, and freed when the
-    block ends.  Memory is therefore O(chunk_size * STEP_BLOCK) for the
-    uniforms plus one block of step tables and one generator per replicate,
-    whatever ``n`` is.
+    The replicates run in chunks of ``chunk_size``, each a self-contained
+    run (:func:`_run_chunk`): its own generators, its own STEP_BLOCK-step
+    uniform buffers, and one step table per step.  With ``workers`` > 1 the
+    chunks are spread over that many threads.  Memory is therefore
+    O(workers * chunk_size * STEP_BLOCK) plus the final states, whatever
+    ``n`` and ``reps`` are.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if n < model.start.n:
         raise ValueError(f"target step {n} precedes start index {model.start.n}")
-    steps = n - model.start.n
-    if steps == 0:
+    if n == model.start.n:
         return np.full(reps, model.start.raw, dtype=np.int64)
 
-    bounds = [(i, min(i + chunk_size, reps)) for i in range(0, reps, chunk_size)]
-    chunks = [([replicate_rng(master_seed, i) for i in range(i0, i1)],
-               np.full(i1 - i0, model.start.raw, dtype=np.int64))
-              for i0, i1 in bounds]
-    # Each thread takes a fixed share of the chunks and reuses one pair of
-    # uniform buffers for all of them.
-    nlanes = min(max(workers, 1), len(chunks))
-    lanes = [chunks[k::nlanes] for k in range(nlanes)]
-    size, depth = bounds[0][1], min(STEP_BLOCK, steps)
-    buffers = [(np.empty((min(STEP_BLOCK, size), depth)), np.empty((depth, size)))
-               for _ in lanes]
-
-    def run_lane(lane, buffer, t0, width, tables):
-        for gens, raw in lane:
-            _advance(raw, gens, t0, width, tables, *buffer)
-
-    with ThreadPoolExecutor(nlanes) if nlanes > 1 else nullcontext() as pool:
-        for t0 in range(model.start.n, n, STEP_BLOCK):
-            run = partial(run_lane, t0=t0, width=min(STEP_BLOCK, n - t0),
-                          tables=_StepTables(model))
-            if pool is None:
-                run(lanes[0], buffers[0])
-            else:
-                list(pool.map(run, lanes, buffers))
-    return np.concatenate([raw for _, raw in chunks])
+    chunks = [range(i, min(i + chunk_size, reps)) for i in range(0, reps, chunk_size)]
+    run = partial(_run_chunk, model, n, master_seed)
+    if workers > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(min(workers, len(chunks))) as pool:
+            return np.concatenate(list(pool.map(run, chunks)))
+    return np.concatenate(list(map(run, chunks)))

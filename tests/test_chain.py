@@ -24,7 +24,7 @@ from driftchain.chain import (
     STEP_BLOCK,
     _increments,
     _sample_raw_step,
-    _StepTables,
+    _step_table,
     band_law,
 )
 
@@ -133,6 +133,10 @@ def test_replicate_final_validation(descents_model):
         replicate_final(descents_model, 10, 0, 1)
     with pytest.raises(ValueError):
         replicate_final(descents_model, 0, 5, 1)
+    for bad in ({"chunk_size": 0}, {"chunk_size": -1}, {"workers": 0},
+                {"workers": -3}):
+        with pytest.raises(ValueError):
+            replicate_final(descents_model, 10, 5, 1, **bad)
 
 
 def test_replicate_final_at_start_returns_start(descents_model):
@@ -177,6 +181,20 @@ def test_replicate_final_memory_does_not_grow_with_n(descents_model):
     assert peak(2400) <= 1.25 * peak(600)
 
 
+def test_replicate_final_memory_does_not_grow_with_reps(descents_model):
+    """Each chunk makes its own generators and frees them when it ends."""
+    def peak(reps):
+        tracemalloc.start()
+        try:
+            replicate_final(descents_model, 600, reps, 11, chunk_size=256)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # the first run imports modules lazily; keep that out of the ratio
+    assert peak(8192) <= 1.25 * peak(1024)
+
+
 def _clamp_model():
     """Ten atoms of mass 1/10 whose float CDF sums to 1 - 2**-53, with
     zero-mass atoms in the middle and at the end."""
@@ -199,11 +217,15 @@ def test_step_table_picks_last_nonzero_atom_when_cdf_sums_below_one():
     top = np.nextafter(1.0, 0.0)  # the largest uniform
     u = np.array(sorted({0.0, top, *cdf, *np.nextafter(cdf, 0.0)}))
     raw = np.full(len(u), 5, dtype=np.int64)
-    table = _StepTables(model).get(3, 5, 5)
+    table = _step_table(model, 3, 5, 5)
     pmf = increment_pmf(model, ChainState(3, 5))
     assert _increments(table, raw, u).tolist() == [
         _sample_raw_step(pmf, x) for x in u.tolist()]
     assert _increments(table, raw[:1], np.array([top])).tolist() == [10]
+    # A row does not depend on the range the table is built over.
+    wide = _step_table(model, 3, 0, 30)
+    assert np.array_equal(wide[2][:, 5], table[2][:, 0])
+    assert _increments(wide, raw, u).tolist() == _increments(table, raw, u).tolist()
     assert replicate_final(model, 40, 16, 3).tolist() == [
         simulate_final(model, 40, replicate_rng(3, i)) for i in range(16)]
 
