@@ -14,8 +14,10 @@ limits alpha_k, D_k and the corrections e_k (:class:`DriftCoefficients`).
 A model states its transition law once, as an integer band over a range of
 states (``DriftModel.law_band``); the exact DP and the Monte Carlo sampler
 read it through :func:`transition_band`, and the per-state law is one row of
-it (:func:`band_law`).  Everything downstream (exact DP, CLT constants,
-Monte Carlo) only touches models through this interface.  The check that a
+it (:func:`band_law`).  The band broadcasts over an array of steps, so the
+sampler builds its CDF tables 32 steps at a time from one call.  Everything
+downstream (exact DP, CLT constants, Monte Carlo) only touches models
+through this interface.  The check that a
 model's law has the drift form it states sweeps the DP, so it lives beside
 it, in :func:`driftchain.exact.validate_drift_form`.
 """
@@ -31,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import UnreachableStateError
+from .errors import ModelValidationError, UnreachableStateError
 from .measures import FiniteMeasure
 
 RNG_ALGORITHM = "philox4x64"
@@ -106,8 +108,12 @@ class DriftModel:
     # numerators[i, j] / denominator is the exact mass of raw increment
     # values[j] out of state lo + i.  Rows may contain zero numerators;
     # columns are sorted by value.  Numerators are int64, or Python ints in
-    # an object array once the denominator reaches 2**63.
-    law_band: Callable[[int, int, int], tuple[np.ndarray, np.ndarray, int]]
+    # an object array once the denominator reaches 2**63.  ``n`` may also be
+    # a 1-D int64 array of steps: then numerators[t, i, j] and
+    # denominator[t] belong to step n[t], and ``values`` must be the same
+    # at every step.
+    law_band: Callable[[int | np.ndarray, int, int],
+                       tuple[np.ndarray, np.ndarray, int | np.ndarray]]
     # Per-state form of the same law, band_law(law_band) for every model.
     increment_law: Callable[[ChainState], FiniteMeasure]
     reachable_range: Callable[[int], tuple[int, int]]
@@ -134,16 +140,18 @@ def increment_pmf(model: DriftModel, state: ChainState) -> FiniteMeasure:
     return model.increment_law(state)
 
 
-def transition_band(model: DriftModel, n: int, lo: int,
-                    hi: int) -> tuple[np.ndarray, np.ndarray, int]:
+def transition_band(model: DriftModel, n, lo: int,
+                    hi: int) -> tuple[np.ndarray, np.ndarray, int | np.ndarray]:
     """Increment laws of the states lo..hi at step n as one integer table.
 
     Returns the model's ``law_band(n, lo, hi)`` with ``values`` as int64 and
     ``den`` as a Python int, so the exact DP can multiply denominators
-    without overflow.
+    without overflow.  For an array of steps ``den`` is passed through as
+    the model's per-step array.
     """
     values, numerators, den = model.law_band(n, lo, hi)
-    return np.asarray(values, dtype=np.int64), numerators, int(den)
+    return (np.asarray(values, dtype=np.int64), numerators,
+            den if isinstance(n, np.ndarray) else int(den))
 
 
 def band_law(law_band: Callable) -> Callable[[ChainState], FiniteMeasure]:
@@ -158,12 +166,20 @@ def band_law(law_band: Callable) -> Callable[[ChainState], FiniteMeasure]:
     return law
 
 
-def band_masses(numerators: np.ndarray, den: int) -> np.ndarray:
+def band_masses(numerators: np.ndarray, den) -> np.ndarray:
     """Float masses ``numerators / den``, each exactly rounded.
 
     Below 2**53 both operands convert to float exactly, so one float division
-    rounds once; above it Python's integer true division does the same.
+    rounds once; above it Python's integer true division does the same.  A
+    per-step ``den`` array divides the (steps, rows, values) numerators step
+    by step, each step rounded as a scalar ``den`` would be.
     """
+    if isinstance(den, np.ndarray):
+        if (den < 2**53).all():
+            # cast inside the division, without a float copy of the band
+            return np.divide(numerators, np.asarray(den, dtype=np.float64)[:, None, None],
+                             dtype=np.float64, casting="unsafe")
+        return np.stack([band_masses(nums, int(d)) for nums, d in zip(numerators, den)])
     if den < 2**53:
         return np.asarray(numerators, dtype=np.float64) / float(den)
     return (np.asarray(numerators, dtype=object) / den).astype(np.float64)
@@ -216,32 +232,48 @@ def simulate_final(model: DriftModel, n: int, rng: np.random.Generator) -> int:
     return raw
 
 
-def _step_table(model: DriftModel, n: int, lo: int, hi: int):
-    """Float CDF table of step ``n`` for the raw states lo..hi.
+def _block_table(model: DriftModel, n0: int, k: int, lo: int, hi: int):
+    """Float CDF tables of steps n0..n0+k-1 for the raw states lo..hi.
 
-    A row depends only on (model, n, raw): each mass is the exactly rounded
-    float of the rational pmf mass, and the cumulative sum and the clamp below
-    work row by row.  So a chunk of replicates samples the same increments
-    whatever range its table spans.  The CDF is kept transposed, one
-    contiguous array per column.
+    The rows are clipped to the union of the k steps' reachable ranges, and
+    all k steps come from one ``law_band`` call.  A row depends only on
+    (model, n, raw): each mass is the exactly rounded float of the rational
+    pmf mass, and the cumulative sum (left-to-right column adds, the same
+    bits as ``np.cumsum``) and the clamp below work row by row.  So a chunk
+    of replicates samples the same increments whatever range or block its
+    table spans.  Returns ``(lo, values, cdf)``; ``cdf[t]`` is step n0 + t's
+    CDF transposed, one contiguous array per column.
     """
-    values, numerators, den = transition_band(model, n, lo, hi)
+    lows, highs = zip(*map(model.reachable_range, range(n0, n0 + k)))
+    lo, hi = max(lo, min(lows)), min(hi, max(highs))
+    values, numerators, den = transition_band(
+        model, np.arange(n0, n0 + k, dtype=np.int64), lo, hi)
     masses = band_masses(numerators, den)
     # A pick is the number of CDF entries at or below u, clamped to the
     # last atom of nonzero mass in case the row sums to just under 1.  So
     # the last column is never needed, and in rows that end in zero
     # masses the entries from the last nonzero atom on are set to inf.
-    cdf_t = np.ascontiguousarray(np.cumsum(masses[:, :-1], axis=1).T)
-    if not masses[:, -1].all():
-        ncols = masses.shape[1]
-        last_nonzero = ncols - 1 - np.argmax(masses[:, ::-1] > 0, axis=1)
-        cdf_t[np.arange(ncols - 1)[:, None] >= last_nonzero] = np.inf
-    return (lo, values, cdf_t)
+    ncols = masses.shape[2]
+    clamp = None
+    if not masses[..., -1].all():
+        last_nonzero = ncols - 1 - np.argmax(masses[..., ::-1] > 0, axis=-1)
+        clamp = np.arange(ncols - 1)[:, None, None] >= last_nonzero
+    # The cumulative sum then runs in place over the mass columns, so the
+    # clamp above had to read the masses first.
+    cdf = np.moveaxis(masses, 2, 0)[:-1]
+    for j in range(1, ncols - 1):
+        np.add(cdf[j - 1], cdf[j], out=cdf[j])
+    if clamp is not None:
+        cdf[clamp] = np.inf
+    return (lo, values, cdf.swapaxes(0, 1))
 
 
 # Steps per block of the Monte Carlo kernel: each replicate of a running
 # chunk draws this many uniforms at a time into a (step, replicate) buffer.
 STEP_BLOCK = 256
+# Steps per CDF table; divides STEP_BLOCK.  Longer tables measured slower
+# and larger: a table's rows widen with its length.
+_TABLE_STEPS = 32
 
 
 def _run_chunk(model: DriftModel, n: int, master_seed: int,
@@ -252,11 +284,14 @@ def _run_chunk(model: DriftModel, n: int, master_seed: int,
     replicate's next STEP_BLOCK uniforms are drawn into ``tile`` rows,
     STEP_BLOCK replicates at a time, and copied transposed into ``uniforms``
     so that step t reads one contiguous row; then the block's steps run one
-    at a time, each over a table spanning the chunk's current states.
+    at a time, _TABLE_STEPS steps to a table that spans every state the
+    chunk can reach in them.
     """
     gens = [replicate_rng(master_seed, i) for i in indices]
     count = len(gens)
     raw = np.full(count, model.start.raw, dtype=np.int64)
+    values = transition_band(model, model.start.n, model.start.raw, model.start.raw)[0]
+    down, up = min(int(values[0]), 0), max(int(values[-1]), 0)
     depth = min(STEP_BLOCK, n - model.start.n)
     tile = np.empty((min(STEP_BLOCK, count), depth))
     uniforms = np.empty((depth, count))
@@ -267,9 +302,22 @@ def _run_chunk(model: DriftModel, n: int, master_seed: int,
             for row, g in zip(part, gens[j0:j0 + STEP_BLOCK]):
                 g.random(out=row)
             uniforms[:width, j0:j0 + len(part)] = part.T
-        for t in range(width):
-            table = _step_table(model, t0 + t, int(raw.min()), int(raw.max()))
-            raw += _increments(table, raw, uniforms[t])
+        for b in range(0, width, _TABLE_STEPS):
+            k = min(_TABLE_STEPS, width - b)
+            low, high = int(raw.min()), int(raw.max())
+            rlo, rhi = model.reachable_range(t0 + b)
+            if low < rlo or high > rhi:
+                raise UnreachableStateError(
+                    f"{model.name}: states {low}..{high} at step {t0 + b} leave "
+                    f"the reachable range [{rlo}, {rhi}]")
+            lo, block_values, cdf = _block_table(
+                model, t0 + b, k, low + (k - 1) * down, high + (k - 1) * up)
+            if not np.array_equal(block_values, values):
+                raise ModelValidationError(
+                    f"{model.name}: law_band values at steps {t0 + b}.."
+                    f"{t0 + b + k - 1} differ from those at the start step")
+            for t in range(k):
+                raw += _increments((lo, values, cdf[t]), raw, uniforms[b + t])
     return raw
 
 
@@ -295,8 +343,9 @@ def replicate_final(model: DriftModel, n: int, reps: int, master_seed: int,
 
     The replicates run in chunks of ``chunk_size``, each a self-contained
     run (:func:`_run_chunk`): its own generators, its own STEP_BLOCK-step
-    uniform buffers, and one step table per step.  With ``workers`` > 1 the
-    chunks are spread over that many threads.  Memory is therefore
+    uniform buffers, and one CDF table per 32 steps, built from one
+    ``law_band`` call.  With ``workers`` > 1 the chunks are spread over that
+    many threads.  Memory is therefore
     O(workers * chunk_size * STEP_BLOCK) plus the final states, whatever
     ``n`` and ``reps`` are.
     """

@@ -1,13 +1,14 @@
 """Concrete chain models.
 
 Each constructor states its transition law once, as a vectorised integer
-``law_band``; the per-state law is ``band_law(law_band)``.  Its drift is
-data in the one-shift form of :class:`~driftchain.chain.DriftCoefficients`:
-a shift c, the limits alpha_k and D_k, and the corrections e_k, with
-alpha_k(n)/n = alpha_k/(n + c) and D_k(n) = D_k + e_k/(n + c).  The test
-suite re-derives the sequences from the law with rational arithmetic, so a
-wrong limit or correction shows up as a nonzero ``validate_drift_form``
-result.
+``law_band``; the per-state law is ``band_law(law_band)``.  A ``law_band``
+takes one step or a 1-D array of steps: the Monte Carlo kernel builds the
+tables of many steps from one call.  Its drift is data in the one-shift
+form of :class:`~driftchain.chain.DriftCoefficients`: a shift c, the limits
+alpha_k and D_k, and the corrections e_k, with alpha_k(n)/n = alpha_k/(n + c)
+and D_k(n) = D_k + e_k/(n + c).  The test suite re-derives the sequences
+from the law with rational arithmetic, so a wrong limit or correction shows
+up as a nonzero ``validate_drift_form`` result.
 
 Indexing conventions: the permutation-descent and circle models start at
 n = 1 (their S_1 is the first increment), urn models start at n = 0 with
@@ -28,6 +29,20 @@ from .errors import DegenerateLimitError, ModelValidationError
 from .measures import FiniteMeasure
 
 
+def _steps(n):
+    """The step of a ``law_band`` call, or its array of steps as a column."""
+    return n[:, None] if isinstance(n, np.ndarray) else n
+
+
+def _band(n, *columns: np.ndarray) -> np.ndarray:
+    """Numerators from one column per value: (rows, values) for a scalar
+    step, else the (steps, rows, values) view of value-major storage, which
+    keeps each value's column contiguous for the kernel's CDF."""
+    if isinstance(n, np.ndarray):
+        return np.moveaxis(np.stack(np.broadcast_arrays(*columns)), 0, -1)
+    return np.column_stack(columns)
+
+
 # ---------------------------------------------------------------------------
 # permutation descents
 # ---------------------------------------------------------------------------
@@ -41,9 +56,9 @@ def make_descents_model() -> DriftModel:
     S_n = raw - (n-1)/2 has mean zero and increments +-1/2.
     """
 
-    def law_band(n: int, lo: int, hi: int):
+    def law_band(n, lo: int, hi: int):
         d = np.arange(lo, hi + 1, dtype=np.int64)
-        return np.array([0, 1]), np.column_stack([d + 1, n - d]), n + 1
+        return np.array([0, 1]), _band(n, d + 1, _steps(n) - d), n + 1
 
     coeffs = DriftCoefficients(
         c=1,
@@ -176,16 +191,22 @@ def make_balanced_urn(spec: UrnSpec, name: str | None = None) -> DriftModel:
     base = np.array(num2, dtype=mass_dtype)
     values_arr = np.array(values, dtype=np.int64)
 
-    def law_band(n: int, lo: int, hi: int):
+    def law_band(n, lo: int, hi: int):
         # Out of w white balls, increment v has mass
         # (w * mu1(v) + (total - w) * mu2(v)) / total, here over den * total.
-        # Both terms lie in [-scale, scale], so int64 holds them below 2**63.
-        total = spec.total(n)
-        scale = den * total
-        dtype = np.int64 if scale < 2**63 else object
-        w = np.arange(lo, hi + 1, dtype=dtype)[:, None]
-        return (values_arr, w * diff.astype(dtype, copy=False)
-                + total * base.astype(dtype, copy=False), scale)
+        # For 0 <= w <= total at the block's largest step both terms lie in
+        # [-scale, scale] of that step, so int64 holds them below 2**63; the
+        # choice is made in Python ints.
+        block = isinstance(n, np.ndarray)
+        top = spec.total(int(n.max()) if block else n)
+        dtype = np.int64 if den * top < 2**63 else object
+        d, b = diff.astype(dtype, copy=False), base.astype(dtype, copy=False)
+        w = np.arange(lo, hi + 1, dtype=dtype)
+        if block:  # built value-major, as _band does
+            total = spec.total(_steps(n).astype(dtype))
+            numerators = d[:, None, None] * w + b[:, None, None] * total
+            return values_arr, np.moveaxis(numerators, 0, -1), den * total[:, 0]
+        return values_arr, w[:, None] * d + top * b, den * top
 
     return DriftModel(
         name=name or f"urn(N={spec.N})",
@@ -251,13 +272,14 @@ def make_circle_model() -> DriftModel:
     one is flagged as exact.
     """
 
-    def law_band(n: int, lo: int, hi: int):
-        t = 2 * n + 4
+    def law_band(n, lo: int, hi: int):
         s = np.arange(lo, hi + 1, dtype=np.int64)
-        nums = np.column_stack([s - 1, s + 2, 2 * n + 3 - 2 * s])
-        surplus0 = s == n + 2
-        nums[surplus0] = (t // 2, t // 2, 0)
-        return np.array([0, 1, 2]), nums, t
+        m = _steps(n)
+        nums = _band(n, s - 1, s + 2, 2 * m + 3 - 2 * s)
+        # At surplus 0 (s == n + 2) these read (n + 1, n + 4, -1); the step
+        # there is the fair (n + 2, n + 2, 0).
+        nums[s == m + 2] += (1, -2, 1)
+        return np.array([0, 1, 2]), nums, 2 * n + 4
 
     coeffs = DriftCoefficients(
         c=2,
@@ -315,9 +337,9 @@ def make_idla_model() -> DriftModel:
     (R = n - L is determined).  S_n = L - n/2 has increments +-1/2.
     """
 
-    def law_band(n: int, lo: int, hi: int):
+    def law_band(n, lo: int, hi: int):
         left = np.arange(lo, hi + 1, dtype=np.int64)
-        return np.array([0, 1]), np.column_stack([left + 1, n - left + 1]), n + 2
+        return np.array([0, 1]), _band(n, left + 1, _steps(n) - left + 1), n + 2
 
     coeffs = DriftCoefficients(
         c=2,

@@ -1,6 +1,7 @@
 """Chain-core: affine scaling, drift validation, and seeded sampling."""
 
 import dataclasses
+import hashlib
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from driftchain import (
     AffineMap,
     ChainState,
     DriftModel,
+    ModelValidationError,
     UnreachableStateError,
     increment_pmf,
     make_friedman,
@@ -22,15 +24,18 @@ from driftchain import (
 )
 from driftchain.chain import (
     STEP_BLOCK,
+    _TABLE_STEPS,
+    _block_table,
     _increments,
     _sample_raw_step,
-    _step_table,
     band_law,
 )
 
-# Horizons around the kernel's step blocks: a replicate stream that resumes
-# at the wrong place in the next block changes every draw after it.
-BLOCK_STEPS = (STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1, 2 * STEP_BLOCK + 3)
+# Horizons around the kernel's step blocks and table blocks: a replicate
+# stream that resumes at the wrong place in the next block, or a table that
+# misses a state or a step, changes every draw after it.
+BLOCK_STEPS = (_TABLE_STEPS - 1, _TABLE_STEPS, _TABLE_STEPS + 1, 2 * _TABLE_STEPS + 1,
+               STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1, 2 * STEP_BLOCK + 3)
 
 
 def test_affine_map_values():
@@ -178,6 +183,7 @@ def test_replicate_final_memory_does_not_grow_with_n(descents_model):
         finally:
             tracemalloc.stop()
 
+    peak(2)  # the first run imports modules lazily; keep that out of the ratio
     assert peak(2400) <= 1.25 * peak(600)
 
 
@@ -202,7 +208,9 @@ def _clamp_model():
     row = np.array([1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0])
 
     def law_band(n, lo, hi):
-        return values, np.tile(row, (hi - lo + 1, 1)), 10
+        rows = np.tile(row, (hi - lo + 1, 1))
+        return (values, np.broadcast_to(rows, np.shape(n) + rows.shape),
+                np.broadcast_to(10, np.shape(n)))
 
     return DriftModel(name="clamp", start=ChainState(0, 0),
                       affine=AffineMap(a=1, b=0, c=0, d=1), coeffs=None,
@@ -217,17 +225,65 @@ def test_step_table_picks_last_nonzero_atom_when_cdf_sums_below_one():
     top = np.nextafter(1.0, 0.0)  # the largest uniform
     u = np.array(sorted({0.0, top, *cdf, *np.nextafter(cdf, 0.0)}))
     raw = np.full(len(u), 5, dtype=np.int64)
-    table = _step_table(model, 3, 5, 5)
+    lo, values, cdf = _block_table(model, 3, 2, 5, 5)  # steps 3 and 4
+    table = (lo, values, cdf[0])
     pmf = increment_pmf(model, ChainState(3, 5))
     assert _increments(table, raw, u).tolist() == [
         _sample_raw_step(pmf, x) for x in u.tolist()]
     assert _increments(table, raw[:1], np.array([top])).tolist() == [10]
-    # A row does not depend on the range the table is built over.
-    wide = _step_table(model, 3, 0, 30)
-    assert np.array_equal(wide[2][:, 5], table[2][:, 0])
+    # A row does not depend on the range or the block the table is built over.
+    wide_lo, _, wide_cdf = _block_table(model, 2, _TABLE_STEPS, 0, 30)
+    wide = (wide_lo, values, wide_cdf[1])
+    assert np.array_equal(wide[2][:, 5 - wide_lo], table[2][:, 0])
     assert _increments(wide, raw, u).tolist() == _increments(table, raw, u).tolist()
     assert replicate_final(model, 40, 16, 3).tolist() == [
         simulate_final(model, 40, replicate_rng(3, i)) for i in range(16)]
+
+
+def test_replicate_final_rejects_values_that_change_with_n():
+    """The kernel builds one table from many steps, so a band's ``values``
+    must be the same at every step."""
+    def law_band(n, lo, hi):
+        shift = int(np.max(n) >= 40)
+        return (np.array([0, 1]) + shift,
+                np.ones(np.shape(n) + (hi - lo + 1, 2), dtype=np.int64),
+                np.broadcast_to(2, np.shape(n)))
+
+    model = DriftModel(name="shifting", start=ChainState(0, 0),
+                       affine=AffineMap(a=1, b=0, c=0, d=1), coeffs=None,
+                       law_band=law_band, increment_law=band_law(law_band),
+                       reachable_range=lambda n: (0, 2 * n))
+    with pytest.raises(ModelValidationError, match="values"):
+        replicate_final(model, 80, 4, 0)
+
+
+def test_replicate_final_rejects_states_outside_the_reachable_range(descents_model):
+    # A table's rows are clipped to the reachable range of its steps; here
+    # the range at steps 33..64 misses every state the first table reached.
+    model = dataclasses.replace(descents_model,
+                                reachable_range=lambda n: (0, 31 if n <= 32 else 0))
+    with pytest.raises(UnreachableStateError, match="reachable"):
+        replicate_final(model, 80, 4, 0)
+
+
+# sha256 of the int64 bytes of replicate_final(model, 600, 64, 1729).  The
+# kernel's tables, blocks and chunks must not change any draw.
+REPLICATE_DIGESTS = {
+    "descents": "5ff077fc4afe8ec1612f4fde540dc5e323d47d953a2daf6f34a4a551423aafd5",
+    "circle": "46bad246eb5965e0b706e3ca00b8cde04751ead63b308e29d141d9a2cdc7360a",
+    "friedman(1,2)": "5fd429cbe2f18bc09ab60b3593d3329018f03929920da671ed2abc4c3f345728",
+    "removal(b=2)": "d865c5de7b887b059304535dd8ae5d0d2fdfada4ffcc8b55efca46d28788b31f",
+    "urn(N=2)": "1e82873f7030873592c8a736828202b52554f2fc54956001cbcb3f6bdeb1ad0a",
+}
+
+
+def test_replicate_final_bits_are_pinned(descents_model, circle_model,
+                                         removal_uniform_model, wide_urn_model):
+    for model in (descents_model, circle_model, make_friedman(1, 2),
+                  removal_uniform_model, wide_urn_model):
+        raws = replicate_final(model, 600, 64, 1729)
+        digest = hashlib.sha256(np.ascontiguousarray(raws, dtype=np.int64).tobytes())
+        assert digest.hexdigest() == REPLICATE_DIGESTS[model.name]
 
 
 def test_replicate_final_single_atom_law():

@@ -28,6 +28,7 @@ from driftchain import (
     simulate_idla,
     validate_drift_form,
 )
+from driftchain.chain import band_masses
 from conftest import random_urn_spec
 
 
@@ -287,3 +288,46 @@ def test_idla_matches_descents_shifted(idla_model, descents_model):
     for n in (1, 5, 12):
         assert (idla_exact(n).nonzero()
                 == evolve_exact(descents_model, n + 1).nonzero())
+
+
+# ---------------------------------------------------------------------------
+# every model: one band over many steps
+
+
+def test_law_band_broadcasts_over_steps(descents_model, circle_model, idla_model,
+                                        removal_uniform_model, wide_urn_model):
+    """An array of steps gives, step by step, what the scalar calls give."""
+    quarters = FiniteMeasure.from_pairs(
+        [(0, Fraction(1, 4)), (1, Fraction(1, 2)), (2, Fraction(1, 4))])
+    tiny = Fraction(1, 2**64 + 13)
+    fine = UrnSpec(N=1, mu1=FiniteMeasure.from_pairs([(0, tiny), (1, 1 - tiny)]),
+                   mu2=FiniteMeasure.uniform([0, 1]), a0=1, b0=1)
+    rng = np.random.default_rng(20261019)
+    models = [descents_model, circle_model, idla_model, make_friedman(1, 2),
+              removal_uniform_model, wide_urn_model,
+              make_friedman(1, 2, a0=2**53),
+              # its band's denominator passes 2**63 at step 67
+              make_friedman(1, 2, a0=2**63 - 200),
+              make_removal_urn(2, FiniteMeasure.uniform([0, 1, 2]), a0=2**62),
+              make_removal_urn(2, quarters, a0=2**62),
+              make_balanced_urn(fine),
+              *(make_balanced_urn(random_urn_spec(rng)) for _ in range(20))]
+    for model in models:
+        ns = model.start.n + np.array([0, 1, 2, 5, 31, 32, 77], dtype=np.int64)
+        ranges = [model.reachable_range(int(n)) for n in ns]
+        # the whole union: for the circle it holds every surplus-0 row
+        lo = min(r[0] for r in ranges)
+        hi = min(max(r[1] for r in ranges), lo + 90)
+        values, nums, den = model.law_band(ns, lo, hi)
+        assert nums.shape[:2] == (len(ns), hi - lo + 1) and len(den) == len(ns)
+        scalar = [model.law_band(int(n), lo, hi) for n in ns]
+        for j, (s_values, s_nums, s_den) in enumerate(scalar):
+            assert values.tolist() == s_values.tolist(), model.name
+            assert nums[j].tolist() == s_nums.tolist(), (model.name, int(ns[j]))
+            assert int(den[j]) == s_den, model.name
+        masses = band_masses(nums, den)
+        stacked = np.stack([band_masses(s_nums, s_den) for _, s_nums, s_den in scalar])
+        assert masses.shape == stacked.shape
+        assert masses.tobytes() == stacked.tobytes(), model.name
+    circle_rows = circle_model.law_band(np.arange(1, 79), 2, 80)[1]
+    assert all(circle_rows[n - 1, n].tolist() == [n + 2, n + 2, 0] for n in range(1, 79))
