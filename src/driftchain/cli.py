@@ -244,8 +244,9 @@ def cmd_exact(args: argparse.Namespace) -> int:
     mode = "exact" if args.rational else "float"
     dist = evolve_exact(model, args.n, mode=mode, cell_budget=args.budget)
 
+    law = dist.nonzero()
     lines = ["raw,S,probability"]
-    for raw, prob in sorted(dist.nonzero().items()):
+    for raw, prob in sorted(law.items()):
         s = float(model.affine.s_value(args.n, raw))
         lines.append(f"{raw},{s!r},{float(prob)!r}")
     csv_text = "\n".join(lines) + "\n"
@@ -257,7 +258,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         "model": model.name,
         "n": args.n,
         "mode": mode,
-        "rows": len(dist.nonzero()),
+        "rows": len(law),
         "total_probability": float(dist.total_mass()),
         "S_mean": float(m1),
         "S_variance": float(m2 - m1 * m1),

@@ -17,10 +17,10 @@ the same numbers.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,12 +30,40 @@ from .errors import BudgetExceededError, UnreachableStateError
 DEFAULT_CELL_BUDGET = 10_000_000
 
 
+class _Probs(Sequence):
+    """``LatticeDistribution.probs``: sized by the weights, built on first read."""
+
+    __slots__ = ("_weights", "_den", "_entries")
+
+    def __init__(self, weights: np.ndarray, den: int | None):
+        self._weights, self._den, self._entries = weights, den, None
+
+    def __len__(self) -> int:
+        return len(self._weights)
+
+    def _tuple(self) -> tuple:
+        if self._entries is None:
+            values = self._weights.tolist()
+            self._entries = (tuple(values) if self._den is None else
+                             tuple(Fraction(w, self._den) for w in values))
+        return self._entries
+
+    def __getitem__(self, index):
+        return self._tuple()[index]
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+
 @dataclass(frozen=True, eq=False)
 class LatticeDistribution:
     """Dense law over the contiguous raw range [offset, offset+len-1] at step n.
 
     In exact mode ``weights`` holds integer numerators over ``den``; in float
     mode it holds the probabilities themselves and ``den`` is None.
+    ``probs`` is a lazy read-only sequence over ``weights``: its length is
+    ``len(weights)``, and its entries (reduced ``Fraction``s in exact mode,
+    floats in float mode) are built once, on the first read of any of them.
     """
 
     n: int
@@ -44,20 +72,22 @@ class LatticeDistribution:
     den: int | None = None
 
     @cached_property
-    def probs(self) -> tuple:
-        if self.den is None:
-            return tuple(self.weights.tolist())
-        return tuple(Fraction(c, self.den) for c in self.weights.tolist())
+    def probs(self) -> Sequence:
+        return _Probs(self.weights, self.den)
 
     def items(self) -> Iterator[tuple[int, Fraction | float]]:
         for i, p in enumerate(self.probs):
             yield self.offset + i, p
 
     def total_mass(self):
-        return sum(self.probs)
+        if self.den is None:
+            return sum(self.probs)
+        return Fraction(sum(self.weights.tolist()), self.den)
 
     def nonzero(self) -> dict:
-        return {raw: p for raw, p in self.items() if p != 0}
+        probs = self.probs
+        return {self.offset + i: probs[i]
+                for i in np.flatnonzero(self.weights != 0).tolist()}
 
     def is_exact(self) -> bool:
         return self.den is not None
@@ -165,15 +195,17 @@ def moment_of(dist: LatticeDistribution, affine: AffineMap, k: int) -> Fraction 
     """E[S^k] under a lattice law, with S the affine image of raw."""
     if k < 0:
         raise ValueError("moment order must be >= 0")
+    shift = affine.b + affine.c * dist.n
     if dist.is_exact():
         # S^k = (a*raw + b + c*n)^k / d^k, so over the DP's shared
         # denominator the whole sum reduces once, at the end.
-        shift = affine.b + affine.c * dist.n
         num = sum(w * (affine.a * (dist.offset + i) + shift) ** k
                   for i, w in enumerate(dist.weights.tolist()) if w)
         return Fraction(num, dist.den * affine.d ** k)
-    return math.fsum(p * float(affine.s_value(dist.n, raw)) ** k
-                     for raw, p in dist.items() if p != 0)
+    # Int true division rounds S correctly, as float(affine.s_value(n, raw))
+    # does, without a Fraction per cell.
+    return math.fsum(p * ((affine.a * (dist.offset + i) + shift) / affine.d) ** k
+                     for i, p in enumerate(dist.weights.tolist()) if p != 0)
 
 
 @dataclass(frozen=True)

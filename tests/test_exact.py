@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -89,6 +90,68 @@ def test_float_law_bits_are_pinned(descents_model, removal_uniform_model,
         assert (len(dist.probs), digest.hexdigest()) == FLOAT_LAW_DIGESTS[model.name]
 
 
+# Width and sha256 of f"{n}:{offset}:" + the comma-joined reduced "p/q" entries
+# of the exact law at n=250: the dp/<config>/exact digests of bench/baseline.json.
+EXACT_LAW_DIGESTS = {
+    "descents": (250, "12e825648ea6358509132efcacaa93ddf68d24a3ea1260ffb21ec03d214d85b3"),
+    "removal(b=2)": (253, "678a0aa71bfd83c97d8fbb57d321f7a830298fc20f6d8ebe2f442c77354ab8ff"),
+    "circle": (251, "23393e3abf6dbfdd6b1f892df17c443236e3ac9ab00e8812db208a300fffd868"),
+}
+
+
+def test_exact_law_digests_are_pinned(descents_model, removal_uniform_model,
+                                      circle_model):
+    for model in (descents_model, removal_uniform_model, circle_model):
+        dist = evolve_exact(model, 250)
+        digest = hashlib.sha256(f"{dist.n}:{dist.offset}:".encode())
+        digest.update(",".join(f"{p.numerator}/{p.denominator}"
+                               for p in dist.probs).encode())
+        assert (len(dist.probs), digest.hexdigest()) == EXACT_LAW_DIGESTS[model.name]
+
+
+def test_probs_is_a_lazy_view(wide_urn_model, circle_model, monkeypatch):
+    """``len`` reads the weights; the first entry read builds every entry once.
+
+    The expected entries are the eager tuples ``probs`` used to be.  The urn
+    law has a zero cell inside its support, which ``nonzero`` must drop.
+    """
+    urn = evolve_exact(wide_urn_model, 12)
+    assert 0 < len(urn.nonzero()) < len(urn.probs)
+    built = []
+
+    def counting_fraction(*args, **kwargs):
+        built.append(args)
+        return Fraction(*args, **kwargs)
+
+    for model in (wide_urn_model, circle_model):
+        for mode in ("exact", "float"):
+            dist = evolve_exact(model, 12, mode=mode)
+            values = dist.weights.tolist()
+            expected = (tuple(values) if mode == "float" else
+                        tuple(Fraction(w, dist.den) for w in values))
+            with monkeypatch.context() as patch:
+                patch.setattr("driftchain.exact.Fraction", counting_fraction)
+                assert len(dist.probs) == len(values)
+                assert built == []
+                assert tuple(dist.probs) == expected
+                assert len(built) == (len(values) if mode == "exact" else 0)
+                built.clear()
+                assert dist.probs[-1] == expected[-1]
+                assert dist.probs[1:3] == expected[1:3]
+                assert list(dist.probs) == list(expected)
+                assert built == []
+            assert isinstance(dist.probs, Sequence)
+            with pytest.raises(TypeError):
+                dist.probs[0] = 0
+            assert dist.nonzero() == {dist.offset + i: p
+                                      for i, p in enumerate(expected) if p != 0}
+            assert dist.total_mass() == sum(expected)
+            if mode == "float":
+                assert (np.asarray(dist.probs, dtype=np.float64).tobytes()
+                        == np.asarray(expected, dtype=np.float64).tobytes())
+                assert math.fsum(dist.probs) == math.fsum(expected)
+
+
 def test_band_denominator_above_2_53():
     """Masses over a denominator no double holds exactly stay exactly rounded.
 
@@ -151,6 +214,21 @@ def test_moment_of(descents_model, wide_urn_model, circle_model, idla_model,
             assert moment_of(dist, model.affine, k) == sum(
                 p * model.affine.s_value(dist.n, raw) ** k
                 for raw, p in dist.items())
+
+
+def test_float_moment_of_matches_fraction_formula(descents_model,
+                                                  removal_uniform_model,
+                                                  circle_model):
+    """The float moments take S by int true division, bit for bit the old
+    ``float(affine.s_value(n, raw))`` per cell, on laws whose raw states pass
+    2**53 too."""
+    for model, n in ((descents_model, 600), (removal_uniform_model, 600),
+                     (circle_model, 600), (make_friedman(1, 2, a0=2**53), 600)):
+        dist = evolve_exact(model, n, mode="float")
+        for k in (1, 2, 3):
+            assert moment_of(dist, model.affine, k) == math.fsum(
+                p * float(model.affine.s_value(dist.n, raw)) ** k
+                for raw, p in dist.items() if p != 0)
 
 
 # ---------------------------------------------------------------------------
