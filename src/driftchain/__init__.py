@@ -53,17 +53,14 @@ from .measures import FiniteMeasure
 from .models import (
     IdlaState,
     UrnSpec,
-    circle_surplus,
     enumerate_descents,
     exit_left_probability,
-    idla_exact,
     make_balanced_urn,
     make_circle_model,
     make_descents_model,
     make_friedman,
     make_idla_model,
     make_removal_urn,
-    simulate_idla,
 )
 from .stats import (
     ExperimentReport,
@@ -118,11 +115,8 @@ __all__ = [
     "make_friedman",
     "make_removal_urn",
     "make_circle_model",
-    "circle_surplus",
     "make_idla_model",
     "exit_left_probability",
-    "simulate_idla",
-    "idla_exact",
     # theory
     "CltParams",
     "clt_params",

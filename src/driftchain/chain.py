@@ -111,7 +111,7 @@ class DriftModel:
     # an object array once the denominator reaches 2**63.  ``n`` may also be
     # a 1-D int64 array of steps: then numerators[t, i, j] and
     # denominator[t] belong to step n[t], and ``values`` must be the same
-    # at every step.
+    # at every step.  Built-in models declare it as a models.AffineBand.
     law_band: Callable[[int | np.ndarray, int, int],
                        tuple[np.ndarray, np.ndarray, int | np.ndarray]]
     # Per-state form of the same law, band_law(law_band) for every model.
@@ -310,6 +310,11 @@ def _run_chunk(model: DriftModel, n: int, master_seed: int,
                 raise UnreachableStateError(
                     f"{model.name}: states {low}..{high} at step {t0 + b} leave "
                     f"the reachable range [{rlo}, {rhi}]")
+            # A wrap past int64 in the last table meets no later range check.
+            if low + k * down < -2**63 or high + k * up >= 2**63:
+                raise ModelValidationError(
+                    f"{model.name}: states {low}..{high} at step {t0 + b} may "
+                    f"leave int64 within {k} steps")
             lo, block_values, cdf = _block_table(
                 model, t0 + b, k, low + (k - 1) * down, high + (k - 1) * up)
             if not np.array_equal(block_values, values):

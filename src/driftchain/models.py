@@ -1,14 +1,15 @@
 """Concrete chain models.
 
-Each constructor states its transition law once, as a vectorised integer
-``law_band``; the per-state law is ``band_law(law_band)``.  A ``law_band``
-takes one step or a 1-D array of steps: the Monte Carlo kernel builds the
-tables of many steps from one call.  Its drift is data in the one-shift
-form of :class:`~driftchain.chain.DriftCoefficients`: a shift c, the limits
-alpha_k and D_k, and the corrections e_k, with alpha_k(n)/n = alpha_k/(n + c)
-and D_k(n) = D_k + e_k/(n + c).  The test suite re-derives the sequences
-from the law with rational arithmetic, so a wrong limit or correction shows
-up as a nonzero ``validate_drift_form`` result.
+Every built-in law is affine in the state, so each constructor states it
+once, as data: an integer :class:`AffineBand`, which is the model's
+``law_band``; the per-state law is ``band_law(law_band)``.  The band takes
+one step or a 1-D array of steps, so the Monte Carlo kernel builds the tables
+of many steps from one call.  The drift is data in the one-shift form of
+:class:`~driftchain.chain.DriftCoefficients`: a shift c, the limits alpha_k
+and D_k, and the corrections e_k, with alpha_k(n)/n = alpha_k/(n + c) and
+D_k(n) = D_k + e_k/(n + c).  The test suite re-derives the sequences from
+the law with rational arithmetic, so a wrong limit or correction shows up
+as a nonzero ``validate_drift_form`` result.
 
 Indexing conventions: the permutation-descent and circle models start at
 n = 1 (their S_1 is the first increment), urn models start at n = 0 with
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -29,18 +30,64 @@ from .errors import DegenerateLimitError, ModelValidationError
 from .measures import FiniteMeasure
 
 
-def _steps(n):
-    """The step of a ``law_band`` call, or its array of steps as a column."""
-    return n[:, None] if isinstance(n, np.ndarray) else n
+@dataclass(frozen=True)
+class AffineBand:
+    """A transition law whose masses are affine in the state and the step.
 
+    Out of state ``raw`` at step n, raw increment ``values[j]`` has mass
+    (p0[j] + p1[j] n + q[j] raw) / (d0 + d1 n), where ``den = (d0, d1)``;
+    ``patch = (r0, r1, delta)`` adds ``delta`` to the one row raw = r0 + r1 n.
+    Construction checks that rows sum to the denominator (sum p0 = d0,
+    sum p1 = d1, sum q = sum delta = 0): a short row would leak mass silently
+    in the exact DP.  Calling the band is a model's ``law_band``.
+    """
 
-def _band(n, *columns: np.ndarray) -> np.ndarray:
-    """Numerators from one column per value: (rows, values) for a scalar
-    step, else the (steps, rows, values) view of value-major storage, which
-    keeps each value's column contiguous for the kernel's CDF."""
-    if isinstance(n, np.ndarray):
-        return np.moveaxis(np.stack(np.broadcast_arrays(*columns)), 0, -1)
-    return np.column_stack(columns)
+    values: tuple[int, ...]
+    p0: tuple[int, ...]
+    p1: tuple[int, ...]
+    q: tuple[int, ...]
+    den: tuple[int, int]
+    patch: tuple[int, int, tuple[int, ...]] | None = None
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
+    _coeffs: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        deltas = self.patch[2] if self.patch else (0,) * len(self.values)
+        lengths = tuple(map(len, (self.values, self.p0, self.p1, self.q, deltas)))
+        sums = (sum(self.p0), sum(self.p1), sum(self.q), sum(deltas))
+        if len(set(lengths)) > 1 or sums != (*self.den, 0, 0):
+            raise ModelValidationError(
+                f"band rows must have one entry per value and sum to den={self.den}; "
+                f"lengths are {lengths}, sums {sums}")
+        # p0, p1 and q as (values, 1, 1) columns in each dtype they fit
+        exact = np.array([self.p0, self.p1, self.q], dtype=object)[..., None, None]
+        coeffs = {object: tuple(exact)}
+        if all(abs(c) < 2**63 for c in exact.flat):
+            coeffs[np.int64] = tuple(exact.astype(np.int64))
+        object.__setattr__(self, "_values", np.array(self.values, dtype=np.int64))
+        object.__setattr__(self, "_coeffs", coeffs)
+
+    def __call__(self, n, lo: int, hi: int):
+        # The dtype is chosen in Python ints.  On reachable rows p0 + p1 n and
+        # q raw of every built-in band lie within the largest step's
+        # denominator, so int64 holds them while it is below 2**63.
+        block = isinstance(n, np.ndarray)
+        d0, d1 = self.den
+        top = int(n.max()) if block else int(n)
+        dtype = np.int64 if d0 + d1 * top < 2**63 else object
+        p0, p1, q = self._coeffs[dtype]
+        raw = np.arange(lo, hi + 1, dtype=dtype)
+        m = n.astype(dtype)[:, None] if block else top
+        # Built value-major, which keeps each value's column contiguous for
+        # the kernel's CDF; the band is its (steps, rows, values) view, less
+        # the steps axis for a scalar step.
+        nums = (p0 + p1 * m + q * raw).transpose(1, 2, 0)
+        if not block:
+            nums = nums[0]
+        if self.patch:
+            r0, r1, delta = self.patch
+            nums[raw == r0 + r1 * m] += delta
+        return self._values, nums, d0 + d1 * (m[:, 0] if block else m)
 
 
 # ---------------------------------------------------------------------------
@@ -55,11 +102,8 @@ def make_descents_model() -> DriftModel:
     slot sits just after a descent or at the right end, hence the law below.
     S_n = raw - (n-1)/2 has mean zero and increments +-1/2.
     """
-
-    def law_band(n, lo: int, hi: int):
-        d = np.arange(lo, hi + 1, dtype=np.int64)
-        return np.array([0, 1]), _band(n, d + 1, _steps(n) - d), n + 1
-
+    # out of raw descents: 0 w.p. (raw + 1)/(n + 1), 1 w.p. (n - raw)/(n + 1)
+    band = AffineBand((0, 1), p0=(1, 0), p1=(0, 1), q=(1, -1), den=(1, 1))
     coeffs = DriftCoefficients(
         c=1,
         alpha_lim=(Fraction(1), Fraction(0), Fraction(1, 4)),
@@ -72,9 +116,9 @@ def make_descents_model() -> DriftModel:
         start=ChainState(1, 0),
         affine=AffineMap(a=2, b=1, c=-1, d=2),
         coeffs=coeffs,
-        increment_law=band_law(law_band),
+        increment_law=band_law(band),
         reachable_range=lambda n: (0, max(0, n - 1)),
-        law_band=law_band,
+        law_band=band,
     )
 
 
@@ -161,9 +205,9 @@ class UrnSpec:
 def make_balanced_urn(spec: UrnSpec, name: str | None = None) -> DriftModel:
     """Chain of white-ball counts for a balanced urn; S_n = whites - a0."""
     values = sorted(set(spec.mu1.support()) | set(spec.mu2.support()))
-    den = math.lcm(*(m.denominator for mu in (spec.mu1, spec.mu2) for m in mu.masses))
-    num1 = [int(spec.mu1.mass(v) * den) for v in values]
-    num2 = [int(spec.mu2.mass(v) * den) for v in values]
+    lcm = math.lcm(*(m.denominator for mu in (spec.mu1, spec.mu2) for m in mu.masses))
+    num1 = [int(spec.mu1.mass(v) * lcm) for v in values]
+    num2 = [int(spec.mu2.mass(v) * lcm) for v in values]
 
     m1 = [spec.mu1.moment(k) for k in (1, 2, 3)]
     m2 = [spec.mu2.moment(k) for k in (1, 2, 3)]
@@ -186,36 +230,22 @@ def make_balanced_urn(spec: UrnSpec, name: str | None = None) -> DriftModel:
         hi = min(spec.total(n), spec.a0 + n * max_inc)
         return lo, hi
 
-    mass_dtype = np.int64 if den < 2**63 else object
-    diff = np.array([n1 - n2 for n1, n2 in zip(num1, num2)], dtype=mass_dtype)
-    base = np.array(num2, dtype=mass_dtype)
-    values_arr = np.array(values, dtype=np.int64)
-
-    def law_band(n, lo: int, hi: int):
-        # Out of w white balls, increment v has mass
-        # (w * mu1(v) + (total - w) * mu2(v)) / total, here over den * total.
-        # For 0 <= w <= total at the block's largest step both terms lie in
-        # [-scale, scale] of that step, so int64 holds them below 2**63; the
-        # choice is made in Python ints.
-        block = isinstance(n, np.ndarray)
-        top = spec.total(int(n.max()) if block else n)
-        dtype = np.int64 if den * top < 2**63 else object
-        d, b = diff.astype(dtype, copy=False), base.astype(dtype, copy=False)
-        w = np.arange(lo, hi + 1, dtype=dtype)
-        if block:  # built value-major, as _band does
-            total = spec.total(_steps(n).astype(dtype))
-            numerators = d[:, None, None] * w + b[:, None, None] * total
-            return values_arr, np.moveaxis(numerators, 0, -1), den * total[:, 0]
-        return values_arr, w[:, None] * d + top * b, den * top
-
+    # Out of w white balls, increment v has mass
+    # (w mu1(v) + (total(n) - w) mu2(v)) / total(n), here over lcm total(n).
+    start = spec.a0 + spec.b0
+    band = AffineBand(tuple(values),
+                      p0=tuple(start * b for b in num2),
+                      p1=tuple(spec.N * b for b in num2),
+                      q=tuple(a - b for a, b in zip(num1, num2)),
+                      den=(lcm * start, lcm * spec.N))
     return DriftModel(
         name=name or f"urn(N={spec.N})",
         start=ChainState(0, spec.a0),
         affine=AffineMap(a=1, b=-spec.a0, c=0, d=1),
         coeffs=coeffs,
-        increment_law=band_law(law_band),
+        increment_law=band_law(band),
         reachable_range=reachable,
-        law_band=law_band,
+        law_band=band,
     )
 
 
@@ -260,27 +290,19 @@ def make_circle_model() -> DriftModel:
     The arrangement starts (n = 1) with four black and two white balls; at
     step n it holds 2n + 4 balls of which ``raw`` are white, and two more
     balls are inserted according to the colours flanking a uniformly chosen
-    gap.  In terms of the white-count surplus sigma = (2n+4) - 2*raw (always
-    even and non-negative) the increment law is
+    gap.  The band gives the increments 0, +1 and +2 the masses
+    (raw - 1, raw + 2, 2n + 3 - 2*raw) / (2n + 4) wherever the white-count
+    surplus sigma = (2n+4) - 2*raw (always even and non-negative) is at
+    least 2.  At sigma == 0, the one row raw = n + 2, no all-black window
+    exists: the patch (+1, -2, +1) turns (n + 1, n + 4, -1) there into the
+    fair step (n + 2, n + 2, 0).
 
-        sigma >= 2:  +1 w.p. (raw+2)/(2n+4), 0 w.p. (raw-1)/(2n+4),
-                     +2 w.p. (2n+3-2*raw)/(2n+4)
-        sigma == 0:  +1 w.p. 1/2, 0 w.p. 1/2  (no all-black window exists)
-
-    The k = 1 drift ansatz is exact on every state, including sigma == 0;
-    for k in {2, 3} the sigma == 0 states deviate by O(1/n), so only order
-    one is flagged as exact.
+    The patch has zero first moment, so the k = 1 drift ansatz is exact on
+    every state, including sigma == 0; for k in {2, 3} the sigma == 0 states
+    deviate by O(1/n), so only order one is flagged as exact.
     """
-
-    def law_band(n, lo: int, hi: int):
-        s = np.arange(lo, hi + 1, dtype=np.int64)
-        m = _steps(n)
-        nums = _band(n, s - 1, s + 2, 2 * m + 3 - 2 * s)
-        # At surplus 0 (s == n + 2) these read (n + 1, n + 4, -1); the step
-        # there is the fair (n + 2, n + 2, 0).
-        nums[s == m + 2] += (1, -2, 1)
-        return np.array([0, 1, 2]), nums, 2 * n + 4
-
+    band = AffineBand((0, 1, 2), p0=(-1, 2, 3), p1=(0, 0, 2), q=(1, 1, -2),
+                      den=(4, 2), patch=(2, 1, (1, -2, 1)))
     coeffs = DriftCoefficients(
         c=2,
         alpha_lim=(Fraction(3, 2), Fraction(7, 2), Fraction(15, 2)),
@@ -293,16 +315,11 @@ def make_circle_model() -> DriftModel:
         start=ChainState(1, 2),
         affine=AffineMap(a=1, b=0, c=0, d=1),
         coeffs=coeffs,
-        increment_law=band_law(law_band),
+        increment_law=band_law(band),
         reachable_range=lambda n: (2, 2 if n == 1 else n + 2),
         exact_moment_orders=frozenset({1}),
-        law_band=law_band,
+        law_band=band,
     )
-
-
-def circle_surplus(n: int, raw: int) -> int:
-    """Black-over-white surplus (2n+4) - 2*raw of a circle state."""
-    return 2 * n + 4 - 2 * raw
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +353,8 @@ def make_idla_model() -> DriftModel:
     ``raw`` is L, the number of negative occupied sites after n particles
     (R = n - L is determined).  S_n = L - n/2 has increments +-1/2.
     """
-
-    def law_band(n, lo: int, hi: int):
-        left = np.arange(lo, hi + 1, dtype=np.int64)
-        return np.array([0, 1]), _band(n, left + 1, _steps(n) - left + 1), n + 2
-
+    # the left arm grows w.p. exit_left_probability = (n - L + 1)/(n + 2)
+    band = AffineBand((0, 1), p0=(1, 1), p1=(0, 1), q=(1, -1), den=(2, 1))
     coeffs = DriftCoefficients(
         c=2,
         alpha_lim=(Fraction(1), Fraction(0), Fraction(1, 4)),
@@ -353,21 +367,7 @@ def make_idla_model() -> DriftModel:
         start=ChainState(0, 0),
         affine=AffineMap(a=2, b=0, c=-1, d=2),
         coeffs=coeffs,
-        increment_law=band_law(law_band),
+        increment_law=band_law(band),
         reachable_range=lambda n: (0, n),
-        law_band=law_band,
+        law_band=band,
     )
-
-
-def simulate_idla(n: int, rng) -> int:
-    """Sample the left-arm length after ``n`` particles."""
-    from .chain import simulate_final
-
-    return simulate_final(make_idla_model(), n, rng)
-
-
-def idla_exact(n: int, mode: str = "exact"):
-    """Exact law of the left-arm length after ``n`` particles."""
-    from .exact import evolve_exact
-
-    return evolve_exact(make_idla_model(), n, mode=mode)

@@ -25,7 +25,6 @@ from driftchain import (
     exact_moments12,
     friedman_params,
     gamma_ratio,
-    idla_exact,
     lemma_check,
     lemma_iterate,
     make_balanced_urn,
@@ -82,7 +81,8 @@ def test_c2_descents_variance_closed_form(descents_model):
 # c3: three very different constructions, one law
 
 
-def test_c3_descents_growth_urn_and_aggregation_share_one_law(descents_model):
+def test_c3_descents_growth_urn_and_aggregation_share_one_law(descents_model,
+                                                              idla_model):
     t0 = time.perf_counter()
     descents_laws = {dist.n: dist.nonzero()
                      for dist in evolve_iter(descents_model, 51, mode="exact")}
@@ -91,9 +91,11 @@ def test_c3_descents_growth_urn_and_aggregation_share_one_law(descents_model):
     urn = make_friedman(0, 1, a0=1, b0=0)
     urn_laws = {dist.n: {w - 1: p for w, p in dist.nonzero().items()}
                 for dist in evolve_iter(urn, 51, mode="exact")}
+    idla_laws = {dist.n: dist.nonzero()
+                 for dist in evolve_iter(idla_model, 50, mode="exact")}
     for m in range(2, 52):
         assert descents_laws[m] == urn_laws[m], m
-        assert descents_laws[m] == idla_exact(m - 1).nonzero(), m
+        assert descents_laws[m] == idla_laws[m - 1], m
     assert time.perf_counter() - t0 < 10.0
 
 

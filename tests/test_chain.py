@@ -266,6 +266,17 @@ def test_replicate_final_rejects_states_outside_the_reachable_range(descents_mod
         replicate_final(model, 80, 4, 0)
 
 
+def test_replicate_final_rejects_states_that_leave_int64():
+    # Whites grow by about one a draw from 2**63 - 200, so they pass 2**63
+    # near step 200: inside the last table of a run to 220, where no later
+    # table's range check would see them.
+    model = make_friedman(1, 2, a0=2**63 - 200)
+    with pytest.raises(ModelValidationError, match="int64"):
+        replicate_final(model, 220, 4, 1729)
+    singles = [simulate_final(model, 60, replicate_rng(1729, i)) for i in range(4)]
+    assert replicate_final(model, 60, 4, 1729).tolist() == singles
+
+
 # sha256 of the int64 bytes of replicate_final(model, 600, 64, 1729).  The
 # kernel's tables, blocks and chunks must not change any draw.
 REPLICATE_DIGESTS = {

@@ -1,5 +1,6 @@
 """Model constructors: transition laws, oracles, and edge cases."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -14,21 +15,20 @@ from driftchain import (
     IdlaState,
     ModelValidationError,
     UrnSpec,
-    circle_surplus,
     enumerate_descents,
     evolve_exact,
     exit_left_probability,
-    idla_exact,
     increment_pmf,
     make_balanced_urn,
     make_friedman,
     make_removal_urn,
     replicate_final,
     replicate_rng,
-    simulate_idla,
+    simulate_final,
     validate_drift_form,
 )
 from driftchain.chain import band_masses
+from driftchain.models import AffineBand
 from conftest import random_urn_spec
 
 
@@ -208,8 +208,6 @@ def test_dyadic_float_urn_equals_its_fraction_twin():
 
 def test_circle_start_and_surplus(circle_model):
     assert (circle_model.start.n, circle_model.start.raw) == (1, 2)
-    assert circle_surplus(1, 2) == 2
-    assert circle_surplus(4, 6) == 0
 
 
 def test_circle_law_frozen_at_start(circle_model):
@@ -272,21 +270,21 @@ def test_idla_first_particle_is_fair(idla_model):
     assert law == {0: Fraction(1, 2), 1: Fraction(1, 2)}
 
 
-def test_idla_exact_frozen_small_law():
+def test_idla_exact_frozen_small_law(idla_model):
     # Two particles: 1/2 * 1/3 lands both on one side, the symmetric
     # balanced interval arises two ways with probability 2/3.
-    law = idla_exact(2).nonzero()
+    law = evolve_exact(idla_model, 2).nonzero()
     assert law == {0: Fraction(1, 6), 1: Fraction(2, 3), 2: Fraction(1, 6)}
 
 
-def test_simulate_idla_runs():
-    raw = simulate_idla(200, replicate_rng(11, 0))
+def test_simulate_idla_runs(idla_model):
+    raw = simulate_final(idla_model, 200, replicate_rng(11, 0))
     assert 0 <= raw <= 200
 
 
 def test_idla_matches_descents_shifted(idla_model, descents_model):
     for n in (1, 5, 12):
-        assert (idla_exact(n).nonzero()
+        assert (evolve_exact(idla_model, n).nonzero()
                 == evolve_exact(descents_model, n + 1).nonzero())
 
 
@@ -312,8 +310,11 @@ def test_law_band_broadcasts_over_steps(descents_model, circle_model, idla_model
               make_removal_urn(2, quarters, a0=2**62),
               make_balanced_urn(fine),
               *(make_balanced_urn(random_urn_spec(rng)) for _ in range(20))]
-    for model in models:
-        ns = model.start.n + np.array([0, 1, 2, 5, 31, 32, 77], dtype=np.int64)
+    cases = [(model, model.start.n + np.array([0, 1, 2, 5, 31, 32, 77], dtype=np.int64))
+             for model in models]
+    # the a0 = 2**63 - 200 urn's rows start above 2**63 from step 200 on
+    cases.append((models[7], np.arange(250, 283, dtype=np.int64)))
+    for model, ns in cases:
         ranges = [model.reachable_range(int(n)) for n in ns]
         # the whole union: for the circle it holds every surplus-0 row
         lo = min(r[0] for r in ranges)
@@ -331,3 +332,53 @@ def test_law_band_broadcasts_over_steps(descents_model, circle_model, idla_model
         assert masses.tobytes() == stacked.tobytes(), model.name
     circle_rows = circle_model.law_band(np.arange(1, 79), 2, 80)[1]
     assert all(circle_rows[n - 1, n].tolist() == [n + 2, n + 2, 0] for n in range(1, 79))
+
+
+# sha256 of repr((values, numerators, dens)) as Python ints for the scalar and
+# the 32-step call at steps 1, 40 and 260, each over the union of the 32 steps'
+# reachable ranges capped at 41 rows.  Computed from the hand-written bands
+# that the AffineBand data replaced.
+LAW_BAND_DIGESTS = {
+    "descents": "dd760f694b812fa3f2168e0e95587f788dec254c7b40fa577e788b5a21a066b8",
+    "idla": "42d11046c7a23762eb67b43b66004c153b2fcfc2838dcd482b0b22098bc8b6a0",
+    "circle": "df000e30855c24c3435a383f3438da97a46709c784f6a1b2d777f65dcdd15232",
+    "friedman(1,2)": "6d3b1197e6929e2a39617bc47f6834ab8eadb4b1f290fd47cd4b19f48f5ac652",
+    "removal(b=2)": "b6fa39d1d60c423be891a227294f0cdeb819c8e0c7d4d32cc2ab3b85a9b4d038",
+    "removal(b=2), a0=2**62": "ed69689f2fbaf6a7d304c3c85c4bfcfcbb83adc9ca304f2e1fcc4c410d8a513f",
+}
+
+
+def test_law_band_digests_are_pinned(descents_model, idla_model, circle_model,
+                                     removal_uniform_model):
+    bands = {
+        "descents": descents_model,
+        "idla": idla_model,
+        "circle": circle_model,
+        "friedman(1,2)": make_friedman(1, 2),
+        "removal(b=2)": removal_uniform_model,
+        "removal(b=2), a0=2**62": make_removal_urn(
+            2, FiniteMeasure.uniform([0, 1, 2]), a0=2**62),
+    }
+    for label, model in bands.items():
+        digest = hashlib.sha256()
+        for n in (1, 40, 260):
+            ranges = [model.reachable_range(m) for m in range(n, n + 32)]
+            lo = min(r[0] for r in ranges)
+            hi = min(max(r[1] for r in ranges), lo + 40)
+            for steps in (n, np.arange(n, n + 32)):
+                values, nums, den = model.law_band(steps, lo, hi)
+                digest.update(repr((values.tolist(), nums.tolist(),
+                                    [int(d) for d in np.atleast_1d(den)])).encode())
+        assert digest.hexdigest() == LAW_BAND_DIGESTS[label], label
+
+
+def test_affine_band_rows_must_sum_to_the_denominator():
+    # A short row would leak mass in the exact DP; a patch must move mass
+    # between values, not add or remove it.
+    with pytest.raises(ModelValidationError, match=r"sums \(1, 1, 0, 0\)"):
+        AffineBand((0, 1), p0=(1, 0), p1=(0, 1), q=(1, -1), den=(2, 1))
+    with pytest.raises(ModelValidationError, match=r"sums \(4, 2, 0, -1\)"):
+        AffineBand((0, 1, 2), p0=(-1, 2, 3), p1=(0, 0, 2), q=(1, 1, -2),
+                   den=(4, 2), patch=(2, 1, (1, -2, 0)))
+    with pytest.raises(ModelValidationError, match=r"lengths are \(3, 2, 2, 2, 3\)"):
+        AffineBand((0, 1, 2), p0=(1, 0), p1=(0, 1), q=(1, -1), den=(1, 1))
