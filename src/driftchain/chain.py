@@ -9,17 +9,18 @@ are affine in ``S_n``:
     E[a_{n+1}^k | history] = D_k(n) - (alpha_k(n) / n) * S_n,   k = 1, 2, 3
 
 with coefficients of one shared form, alpha_k(n)/n = alpha_k/(n + c) and
-D_k(n) = D_k + e_k/(n + c), which a model states as data: the shift c, the
+D_k(n) = D_k + e_k/(n + c), which a model holds as data: the shift c, the
 limits alpha_k, D_k and the corrections e_k (:class:`DriftCoefficients`).
 A model states its transition law once, as an integer band over a range of
-states (``DriftModel.law_band``); the exact DP and the Monte Carlo sampler
-read it through :func:`transition_band`, and the per-state law is one row of
-it (:func:`band_law`).  The band broadcasts over an array of steps, so the
+states (``DriftModel.law_band``); built-in models derive their drift data
+and reachable range from it.  The exact DP and the Monte Carlo sampler read
+it through :func:`transition_band`, and the per-state law is one row of it
+(:func:`band_law`).  The band broadcasts over an array of steps, so the
 sampler builds its CDF tables 32 steps at a time from one call.  Everything
 downstream (exact DP, CLT constants, Monte Carlo) only touches models
-through this interface.  The check that a
-model's law has the drift form it states sweeps the DP, so it lives beside
-it, in :func:`driftchain.exact.validate_drift_form`.
+through this interface.  The check that a model's law has the drift form
+it holds sweeps the DP, so it lives beside it, in
+:func:`driftchain.exact.validate_drift_form`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -116,6 +118,8 @@ class DriftModel:
                        tuple[np.ndarray, np.ndarray, int | np.ndarray]]
     # Per-state form of the same law, band_law(law_band) for every model.
     increment_law: Callable[[ChainState], FiniteMeasure]
+    # (lo, hi) holding every raw state live at step n.  Built-in models derive
+    # it, coeffs and exact_moment_orders from their band (AffineBand.model).
     reachable_range: Callable[[int], tuple[int, int]]
     # Orders k for which the drift ansatz holds exactly on every reachable
     # state.  The circle model only guarantees k = 1.
@@ -126,17 +130,21 @@ class DriftModel:
 # state-level operations
 # ---------------------------------------------------------------------------
 
+def _check_reachable(model: DriftModel, n: int, raw: int) -> None:
+    lo, hi = model.reachable_range(n)
+    if n < model.start.n or not lo <= raw <= hi:
+        raise UnreachableStateError(
+            f"{model.name}: state (n={n}, raw={raw}) is outside "
+            f"the reachable range [{lo}, {hi}] at step {n}")
+
+
 def increment_pmf(model: DriftModel, state: ChainState) -> FiniteMeasure:
     """Law of the raw increment out of ``state``.
 
     Raises :class:`UnreachableStateError` when the state lies outside the
     model's declared reachable range for its step index.
     """
-    lo, hi = model.reachable_range(state.n)
-    if state.n < model.start.n or not lo <= state.raw <= hi:
-        raise UnreachableStateError(
-            f"{model.name}: state (n={state.n}, raw={state.raw}) is outside "
-            f"the reachable range [{lo}, {hi}] at step {state.n}")
+    _check_reachable(model, state.n, state.raw)
     return model.increment_law(state)
 
 
@@ -208,27 +216,27 @@ def replicate_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sample_raw_step(pmf: FiniteMeasure, u: float):
-    """Inverse-CDF draw over atoms sorted by value (float cumulative masses)."""
-    cdf = []
-    acc = 0.0
-    for _, m in pmf.atoms:
-        acc += float(m)
-        cdf.append(acc)
+def _sample_raw_step(values: list, numerators: list, den: int, u: float) -> int:
+    """Inverse-CDF draw over a band row's nonzero atoms, sorted by value: the
+    float masses ``c / den`` (int division, correctly rounded), summed in order."""
+    atoms = [(v, c) for v, c in zip(values, numerators) if c]
+    cdf = list(accumulate(c / den for _, c in atoms))
     idx = bisect_right(cdf, u)
     if idx >= len(cdf):  # guard against cumulative rounding below 1.0
         idx = len(cdf) - 1
-    return pmf.atoms[idx][0]
+    return atoms[idx][0]
 
 
 def simulate_final(model: DriftModel, n: int, rng: np.random.Generator) -> int:
-    """One trajectory from the start state to step ``n``; returns final raw."""
+    """One trajectory from the start state to step ``n``; returns final raw.
+    Each step reads the state's one-row band, independently of the kernel."""
     if n < model.start.n:
         raise ValueError(f"target step {n} precedes start index {model.start.n}")
     raw = model.start.raw
     for step_n in range(model.start.n, n):
-        pmf = increment_pmf(model, ChainState(step_n, raw))
-        raw += _sample_raw_step(pmf, rng.random())
+        _check_reachable(model, step_n, raw)
+        values, nums, den = transition_band(model, step_n, raw, raw)
+        raw += _sample_raw_step(values.tolist(), nums[0].tolist(), den, rng.random())
     return raw
 
 

@@ -4,11 +4,13 @@ Every built-in law is affine in the state, so each constructor states it
 once, as data: an integer :class:`AffineBand`, which is the model's
 ``law_band``; the per-state law is ``band_law(law_band)``.  The band takes
 one step or a 1-D array of steps, so the Monte Carlo kernel builds the tables
-of many steps from one call.  The drift is data in the one-shift form of
-:class:`~driftchain.chain.DriftCoefficients`: a shift c, the limits alpha_k
-and D_k, and the corrections e_k, with alpha_k(n)/n = alpha_k/(n + c) and
-D_k(n) = D_k + e_k/(n + c).  The test suite re-derives the sequences from
-the law with rational arithmetic, so a wrong limit or correction shows up
+of many steps from one call.  Everything else a :class:`DriftModel` holds is
+derived from the band by :meth:`AffineBand.model`: the drift data in the
+one-shift form of :class:`~driftchain.chain.DriftCoefficients` (a shift c,
+the limits alpha_k and D_k, and the corrections e_k, with
+alpha_k(n)/n = alpha_k/(n + c) and D_k(n) = D_k + e_k/(n + c)), the orders
+whose drift form is exact, and the reachable range.  Criterion c9 checks the
+drift data against the band state by state, so a wrong derivation shows up
 as a nonzero ``validate_drift_form`` result.
 
 Indexing conventions: the permutation-descent and circle models start at
@@ -89,6 +91,69 @@ class AffineBand:
             nums[raw == r0 + r1 * m] += delta
         return self._values, nums, d0 + d1 * (m[:, 0] if block else m)
 
+    def model(self, name: str, start: ChainState, affine: AffineMap) -> DriftModel:
+        """The chain of this law from ``start``, its drift data and range derived.
+
+        A raw step v_j moves S = (a raw + b + g n)/d by t_j/d, t_j = a v_j + g.
+        With P0, P1, Q the sums of t_j^k against p0, p1, q, the k-th increment
+        moment out of raw is (P0 + P1 n + Q raw)/(d^k (d0 + d1 n)), in the
+        one-shift form with c = d0/d1 once raw = (d S - b - g n)/a; the patch
+        adds sum_j delta_j t_j^k / (d^k (d0 + d1 n)) on its row.  The range is
+        the start's cone cut to the raws where every numerator is >= 0, plus
+        the patched row where it borders the cut; a bound the cone implies
+        (>= 0 at the start and in slope along the cone's edge) is dropped here.
+        """
+        a, b, g, d = affine.a, affine.b, affine.c, affine.d
+        d0, d1 = self.den
+        t = [a * v + g for v in self.values]
+        alpha, D, e = [], [], []
+        for k in (1, 2, 3):
+            P0, P1, Q = (sum(w * x**k for w, x in zip(ws, t))
+                         for ws in (self.p0, self.p1, self.q))
+            scale = a * d1 * d**k
+            alpha.append(Fraction(-d * Q, scale))
+            D.append(Fraction(a * P1 - g * Q, scale))
+            # e_k = (a P0 - b Q)/scale - D_k d0/d1
+            e.append(Fraction(d1 * (a * P0 - b * Q) - d0 * (a * P1 - g * Q), scale * d1))
+        coeffs = DriftCoefficients(c=Fraction(d0, d1), alpha_lim=tuple(alpha),
+                                   D_lim=tuple(D), D_corr=tuple(e),
+                                   M=Fraction(max(map(abs, t)), d))
+
+        n0, r0 = start.n, start.raw
+        v_lo, v_hi = min(self.values), max(self.values)
+        lower, upper = [], []
+        for v, p0, p1, q in zip(self.values, self.p0, self.p1, self.q):
+            if p0 + p1 * n0 + q * r0 < 0 or p1 + q * (v_lo if q > 0 else v_hi) < 0:
+                if q == 0:
+                    raise ModelValidationError(f"{name}: value {v} gets a negative mass")
+                (lower if q > 0 else upper).append((p0, p1, q))
+        orders, row = frozenset({1, 2, 3}), None
+        if self.patch:
+            pr0, pr1, delta = self.patch
+            orders = frozenset(k for k in orders
+                               if sum(dj * x**k for dj, x in zip(delta, t)) == 0)
+            if any(p0 + dj + q * pr0 + (p1 + q * pr1) * n0 < 0 or p1 + q * pr1 < 0
+                   for p0, p1, q, dj in zip(self.p0, self.p1, self.q, delta)):
+                raise ModelValidationError(f"{name}: the patched row gets a negative mass")
+            row = pr0, pr1
+
+        def reachable_range(n: int) -> tuple[int, int]:
+            lo = cone_lo = r0 + (n - n0) * v_lo
+            hi = cone_hi = r0 + (n - n0) * v_hi
+            for p0, p1, q in lower:
+                lo = max(lo, -((p0 + p1 * n) // q))
+            for p0, p1, q in upper:
+                hi = min(hi, (p0 + p1 * n) // -q)
+            if row:
+                raw = row[0] + row[1] * n
+                if cone_lo <= raw <= cone_hi and lo - 1 <= raw <= hi + 1:
+                    lo, hi = min(lo, raw), max(hi, raw)
+            return lo, hi
+
+        return DriftModel(name=name, start=start, affine=affine, coeffs=coeffs,
+                          increment_law=band_law(self), reachable_range=reachable_range,
+                          exact_moment_orders=orders, law_band=self)
+
 
 # ---------------------------------------------------------------------------
 # permutation descents
@@ -104,22 +169,7 @@ def make_descents_model() -> DriftModel:
     """
     # out of raw descents: 0 w.p. (raw + 1)/(n + 1), 1 w.p. (n - raw)/(n + 1)
     band = AffineBand((0, 1), p0=(1, 0), p1=(0, 1), q=(1, -1), den=(1, 1))
-    coeffs = DriftCoefficients(
-        c=1,
-        alpha_lim=(Fraction(1), Fraction(0), Fraction(1, 4)),
-        D_lim=(Fraction(0), Fraction(1, 4), Fraction(0)),
-        D_corr=(Fraction(0),) * 3,
-        M=Fraction(1, 2),
-    )
-    return DriftModel(
-        name="descents",
-        start=ChainState(1, 0),
-        affine=AffineMap(a=2, b=1, c=-1, d=2),
-        coeffs=coeffs,
-        increment_law=band_law(band),
-        reachable_range=lambda n: (0, max(0, n - 1)),
-        law_band=band,
-    )
+    return band.model("descents", ChainState(1, 0), AffineMap(a=2, b=1, c=-1, d=2))
 
 
 def _descent_counts_by_enumeration(n: int) -> list[int]:
@@ -209,27 +259,6 @@ def make_balanced_urn(spec: UrnSpec, name: str | None = None) -> DriftModel:
     num1 = [int(spec.mu1.mass(v) * lcm) for v in values]
     num2 = [int(spec.mu2.mass(v) * lcm) for v in values]
 
-    m1 = [spec.mu1.moment(k) for k in (1, 2, 3)]
-    m2 = [spec.mu2.moment(k) for k in (1, 2, 3)]
-
-    # Out of w = S_n + a0 white balls among total(n) = N (n + c), the k-th
-    # increment moment is m2k - (w / total(n)) (m2k - m1k).
-    alpha_lim = tuple((m2[k] - m1[k]) / spec.N for k in range(3))
-    coeffs = DriftCoefficients(
-        c=Fraction(spec.a0 + spec.b0, spec.N),
-        alpha_lim=alpha_lim,
-        D_lim=tuple(m2),
-        D_corr=tuple(-spec.a0 * a for a in alpha_lim),
-        M=Fraction(max(abs(v) for v in values)),
-    )
-
-    min_inc, max_inc = values[0], values[-1]
-
-    def reachable(n: int) -> tuple[int, int]:
-        lo = max(0, spec.a0 + n * min_inc)
-        hi = min(spec.total(n), spec.a0 + n * max_inc)
-        return lo, hi
-
     # Out of w white balls, increment v has mass
     # (w mu1(v) + (total(n) - w) mu2(v)) / total(n), here over lcm total(n).
     start = spec.a0 + spec.b0
@@ -238,15 +267,8 @@ def make_balanced_urn(spec: UrnSpec, name: str | None = None) -> DriftModel:
                       p1=tuple(spec.N * b for b in num2),
                       q=tuple(a - b for a, b in zip(num1, num2)),
                       den=(lcm * start, lcm * spec.N))
-    return DriftModel(
-        name=name or f"urn(N={spec.N})",
-        start=ChainState(0, spec.a0),
-        affine=AffineMap(a=1, b=-spec.a0, c=0, d=1),
-        coeffs=coeffs,
-        increment_law=band_law(band),
-        reachable_range=reachable,
-        law_band=band,
-    )
+    return band.model(name or f"urn(N={spec.N})", ChainState(0, spec.a0),
+                      AffineMap(a=1, b=-spec.a0, c=0, d=1))
 
 
 def make_friedman(alpha: int, beta: int, a0: int = 1, b0: int = 1) -> DriftModel:
@@ -299,27 +321,11 @@ def make_circle_model() -> DriftModel:
 
     The patch has zero first moment, so the k = 1 drift ansatz is exact on
     every state, including sigma == 0; for k in {2, 3} the sigma == 0 states
-    deviate by O(1/n), so only order one is flagged as exact.
+    deviate by O(1/n), so only order one is derived as exact.
     """
     band = AffineBand((0, 1, 2), p0=(-1, 2, 3), p1=(0, 0, 2), q=(1, 1, -2),
                       den=(4, 2), patch=(2, 1, (1, -2, 1)))
-    coeffs = DriftCoefficients(
-        c=2,
-        alpha_lim=(Fraction(3, 2), Fraction(7, 2), Fraction(15, 2)),
-        D_lim=(Fraction(2), Fraction(4), Fraction(8)),
-        D_corr=(Fraction(0), Fraction(-1), Fraction(-3)),
-        M=Fraction(2),
-    )
-    return DriftModel(
-        name="circle",
-        start=ChainState(1, 2),
-        affine=AffineMap(a=1, b=0, c=0, d=1),
-        coeffs=coeffs,
-        increment_law=band_law(band),
-        reachable_range=lambda n: (2, 2 if n == 1 else n + 2),
-        exact_moment_orders=frozenset({1}),
-        law_band=band,
-    )
+    return band.model("circle", ChainState(1, 2), AffineMap(a=1, b=0, c=0, d=1))
 
 
 # ---------------------------------------------------------------------------
@@ -355,19 +361,4 @@ def make_idla_model() -> DriftModel:
     """
     # the left arm grows w.p. exit_left_probability = (n - L + 1)/(n + 2)
     band = AffineBand((0, 1), p0=(1, 1), p1=(0, 1), q=(1, -1), den=(2, 1))
-    coeffs = DriftCoefficients(
-        c=2,
-        alpha_lim=(Fraction(1), Fraction(0), Fraction(1, 4)),
-        D_lim=(Fraction(0), Fraction(1, 4), Fraction(0)),
-        D_corr=(Fraction(0),) * 3,
-        M=Fraction(1, 2),
-    )
-    return DriftModel(
-        name="idla",
-        start=ChainState(0, 0),
-        affine=AffineMap(a=2, b=0, c=-1, d=2),
-        coeffs=coeffs,
-        increment_law=band_law(band),
-        reachable_range=lambda n: (0, n),
-        law_band=band,
-    )
+    return band.model("idla", ChainState(0, 0), AffineMap(a=2, b=0, c=-1, d=2))

@@ -29,6 +29,7 @@ from driftchain.chain import (
     _increments,
     _sample_raw_step,
     band_law,
+    transition_band,
 )
 
 # Horizons around the kernel's step blocks and table blocks: a replicate
@@ -227,9 +228,10 @@ def test_step_table_picks_last_nonzero_atom_when_cdf_sums_below_one():
     raw = np.full(len(u), 5, dtype=np.int64)
     lo, values, cdf = _block_table(model, 3, 2, 5, 5)  # steps 3 and 4
     table = (lo, values, cdf[0])
-    pmf = increment_pmf(model, ChainState(3, 5))
+    row_values, row_nums, den = transition_band(model, 3, 5, 5)
     assert _increments(table, raw, u).tolist() == [
-        _sample_raw_step(pmf, x) for x in u.tolist()]
+        _sample_raw_step(row_values.tolist(), row_nums[0].tolist(), den, x)
+        for x in u.tolist()]
     assert _increments(table, raw[:1], np.array([top])).tolist() == [10]
     # A row does not depend on the range or the block the table is built over.
     wide_lo, _, wide_cdf = _block_table(model, 2, _TABLE_STEPS, 0, 30)

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftchain import (
+    AffineMap,
     ChainState,
     DegenerateLimitError,
+    DriftCoefficients,
     FiniteMeasure,
     IdlaState,
     ModelValidationError,
@@ -382,3 +384,127 @@ def test_affine_band_rows_must_sum_to_the_denominator():
                    den=(4, 2), patch=(2, 1, (1, -2, 0)))
     with pytest.raises(ModelValidationError, match=r"lengths are \(3, 2, 2, 2, 3\)"):
         AffineBand((0, 1, 2), p0=(1, 0), p1=(0, 1), q=(1, -1), den=(1, 1))
+
+
+# ---------------------------------------------------------------------------
+# drift data, exact orders and ranges derived from the band
+#
+# The reference is what the models used to state by hand: the descents,
+# idla and circle tables, and the urn's formulas from the moments of mu1
+# and mu2.
+
+
+def _table(c, alpha, D, e, M):
+    return DriftCoefficients(c=Fraction(c), alpha_lim=tuple(map(Fraction, alpha)),
+                             D_lim=tuple(map(Fraction, D)), D_corr=tuple(map(Fraction, e)),
+                             M=Fraction(M))
+
+
+STATED = {
+    "descents": (_table(1, (1, 0, Fraction(1, 4)), (0, Fraction(1, 4), 0), (0, 0, 0),
+                        Fraction(1, 2)),
+                 {1, 2, 3}, lambda n: (0, max(0, n - 1))),
+    "idla": (_table(2, (1, 0, Fraction(1, 4)), (0, Fraction(1, 4), 0), (0, 0, 0),
+                    Fraction(1, 2)),
+             {1, 2, 3}, lambda n: (0, n)),
+    "circle": (_table(2, (Fraction(3, 2), Fraction(7, 2), Fraction(15, 2)), (2, 4, 8),
+                      (0, -1, -3), 2),
+               {1}, lambda n: (2, 2 if n == 1 else n + 2)),
+}
+
+
+def _urn_reference(spec: UrnSpec):
+    """Out of w = S_n + a0 white balls among total(n) = N (n + c) balls, the
+    k-th increment moment is m2_k - (w / total(n)) (m2_k - m1_k)."""
+    m1 = [spec.mu1.moment(k) for k in (1, 2, 3)]
+    m2 = [spec.mu2.moment(k) for k in (1, 2, 3)]
+    alpha = tuple((m2[k] - m1[k]) / spec.N for k in range(3))
+    values = sorted(set(spec.mu1.support()) | set(spec.mu2.support()))
+    coeffs = DriftCoefficients(c=Fraction(spec.a0 + spec.b0, spec.N), alpha_lim=alpha,
+                               D_lim=tuple(m2), D_corr=tuple(-spec.a0 * a for a in alpha),
+                               M=Fraction(max(abs(v) for v in values)))
+
+    def reachable(n):
+        return (max(0, spec.a0 + n * values[0]),
+                min(spec.total(n), spec.a0 + n * values[-1]))
+
+    return coeffs, {1, 2, 3}, reachable
+
+
+def _friedman_spec(alpha, beta, a0=1, b0=1):
+    return UrnSpec(N=alpha + beta, mu1=FiniteMeasure.point(alpha),
+                   mu2=FiniteMeasure.point(beta), a0=a0, b0=b0)
+
+
+def _removal_spec(b, mu, a0=1, b0=1):
+    return UrnSpec(N=b - 1, mu1=mu.shift(-1), mu2=mu, a0=a0, b0=b0)
+
+
+def _assert_derived_equals(model, reference):
+    coeffs, orders, reachable = reference
+    derived = model.coeffs
+    fields = (derived.c, *derived.alpha_lim, *derived.D_lim, *derived.D_corr, derived.M)
+    assert all(type(x) is Fraction for x in fields), model.name
+    assert fields == (coeffs.c, *coeffs.alpha_lim, *coeffs.D_lim, *coeffs.D_corr,
+                      coeffs.M), model.name
+    assert model.exact_moment_orders == orders, model.name
+    steps = range(model.start.n, model.start.n + 300)
+    assert [model.reachable_range(n) for n in steps] == [reachable(n) for n in steps], \
+        model.name
+
+
+def test_derived_drift_data_and_ranges_equal_the_stated_tables(
+        descents_model, idla_model, circle_model, removal_uniform_model, wide_urn_model):
+    for model in (descents_model, idla_model, circle_model):
+        _assert_derived_equals(model, STATED[model.name])
+    uniform = FiniteMeasure.uniform([0, 1, 2])
+    urns = [
+        (make_friedman(1, 2), _friedman_spec(1, 2)),
+        (make_friedman(0, 1), _friedman_spec(0, 1)),
+        (make_friedman(2, 1, a0=3, b0=0), _friedman_spec(2, 1, a0=3, b0=0)),
+        (make_friedman(1, 2, a0=2**53), _friedman_spec(1, 2, a0=2**53)),
+        (removal_uniform_model, _removal_spec(2, uniform)),
+        (make_removal_urn(2, uniform, a0=2**62), _removal_spec(2, uniform, a0=2**62)),
+        (wide_urn_model, UrnSpec(
+            N=2, mu1=FiniteMeasure.from_pairs([(-1, Fraction(1, 2)), (2, Fraction(1, 2))]),
+            mu2=FiniteMeasure.from_pairs([(0, Fraction(1, 2)), (2, Fraction(1, 2))]),
+            a0=1, b0=1)),
+    ]
+    for model, spec in urns:
+        _assert_derived_equals(model, _urn_reference(spec))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_random_urn_derived_data_equals_the_moment_formulas(seed):
+    spec = random_urn_spec(np.random.default_rng(seed))
+    _assert_derived_equals(make_balanced_urn(spec), _urn_reference(spec))
+
+
+def test_derived_exact_orders_follow_the_patch():
+    # The patch (1, -3, 3, -1) on values 0..3 has zero first and second
+    # moments and third moment -6, so only orders 1 and 2 stay exact.
+    band = AffineBand((0, 1, 2, 3), p0=(1, 1, 1, 1), p1=(1, 1, 1, 1), q=(0, 0, 0, 0),
+                      den=(4, 4), patch=(0, 1, (1, -3, 3, -1)))
+    model = band.model("quad", ChainState(2, 0), AffineMap(1, 0, 0, 1))
+    assert model.exact_moment_orders == {1, 2}
+    assert validate_drift_form(model, 30, 1) == 0.0
+    assert validate_drift_form(model, 30, 2) == 0.0
+    # the patched row raw = n is first live at n = 3: a gap of 6/(4 + 4*3)
+    assert validate_drift_form(model, 30, 3) == float(Fraction(3, 8))
+
+
+def test_band_model_rejects_masses_that_turn_negative():
+    # value 1 has mass (n - 1)/(n + 1) on every row: negative at n = 0
+    flat = AffineBand((0, 1), p0=(2, -1), p1=(0, 1), q=(0, 0), den=(1, 1))
+    with pytest.raises(ModelValidationError, match="negative"):
+        flat.model("flat", ChainState(0, 0), AffineMap(1, 0, 0, 1))
+    assert flat.model("flat", ChainState(1, 0), AffineMap(1, 0, 0, 1)).reachable_range(5) \
+        == (0, 4)
+    # the patched row raw = n has masses (n - 1, n + 3)/(2n + 2)
+    patched = AffineBand((0, 1), p0=(1, 1), p1=(1, 1), q=(0, 0), den=(2, 2),
+                         patch=(0, 1, (-2, 2)))
+    with pytest.raises(ModelValidationError, match="patched row"):
+        patched.model("patched", ChainState(0, 0), AffineMap(1, 0, 0, 1))
+    assert patched.model("patched", ChainState(1, 0),
+                         AffineMap(1, 0, 0, 1)).exact_moment_orders == frozenset()
