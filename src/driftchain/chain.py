@@ -16,7 +16,8 @@ states (``DriftModel.law_band``); built-in models derive their drift data
 and reachable range from it.  The exact DP and the Monte Carlo sampler read
 it through :func:`transition_band`, and the per-state law is one row of it
 (:func:`band_law`).  The band broadcasts over an array of steps, so the
-sampler builds its CDF tables 32 steps at a time from one call.  Everything
+sampler builds its CDF tables 32 steps at a time from one call, and the DP
+reads 16 steps' rows per call (:func:`band_block`).  Everything
 downstream (exact DP, CLT constants, Monte Carlo) only touches models
 through this interface.  The check that a model's law has the drift form
 it holds sweeps the DP, so it lives beside it, in
@@ -162,6 +163,19 @@ def transition_band(model: DriftModel, n, lo: int,
             den if isinstance(n, np.ndarray) else int(den))
 
 
+def band_block(model: DriftModel, n0: int, k: int, lo: int,
+               hi: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Bands of steps n0..n0+k-1 over the raw states lo..hi, from one call.
+
+    The rows are clipped to the union of the k steps' reachable ranges.
+    Returns ``(lo, values, numerators, den)`` with the clipped ``lo``:
+    ``numerators[t]`` and ``den[t]`` belong to step n0 + t.
+    """
+    lows, highs = zip(*map(model.reachable_range, range(n0, n0 + k)))
+    lo, hi = max(lo, min(lows)), min(hi, max(highs))
+    return (lo, *transition_band(model, np.arange(n0, n0 + k, dtype=np.int64), lo, hi))
+
+
 def band_law(law_band: Callable) -> Callable[[ChainState], FiniteMeasure]:
     """Per-state increment law: the nonzero atoms of the state's one-row band."""
 
@@ -243,8 +257,8 @@ def simulate_final(model: DriftModel, n: int, rng: np.random.Generator) -> int:
 def _block_table(model: DriftModel, n0: int, k: int, lo: int, hi: int):
     """Float CDF tables of steps n0..n0+k-1 for the raw states lo..hi.
 
-    The rows are clipped to the union of the k steps' reachable ranges, and
-    all k steps come from one ``law_band`` call.  A row depends only on
+    The rows are those of :func:`band_block`: clipped to the union of the k
+    steps' reachable ranges, all k steps from one call.  A row depends only on
     (model, n, raw): each mass is the exactly rounded float of the rational
     pmf mass, and the cumulative sum (left-to-right column adds, the same
     bits as ``np.cumsum``) and the clamp below work row by row.  So a chunk
@@ -252,10 +266,7 @@ def _block_table(model: DriftModel, n0: int, k: int, lo: int, hi: int):
     table spans.  Returns ``(lo, values, cdf)``; ``cdf[t]`` is step n0 + t's
     CDF transposed, one contiguous array per column.
     """
-    lows, highs = zip(*map(model.reachable_range, range(n0, n0 + k)))
-    lo, hi = max(lo, min(lows)), min(hi, max(highs))
-    values, numerators, den = transition_band(
-        model, np.arange(n0, n0 + k, dtype=np.int64), lo, hi)
+    lo, values, numerators, den = band_block(model, n0, k, lo, hi)
     masses = band_masses(numerators, den)
     # A pick is the number of CDF entries at or below u, clamped to the
     # last atom of nonzero mass in case the row sums to just under 1.  So

@@ -1,11 +1,14 @@
 """Exact distribution engine and asymptotic-recursion tools.
 
 ``evolve_iter``/``evolve_exact`` push the full lattice law of a model
-forward one step at a time, reading each step's transition rows (the
-model's ``law_band``, its only statement of the transition law) through
-:func:`~driftchain.chain.transition_band`.  In ``exact`` mode the law is
-kept as Python-int numerators over one shared denominator, the product of
-the step denominators; ``float`` mode runs the same sweep in doubles.
+forward one step at a time.  The transition rows (the model's
+``law_band``, its only statement of the transition law) come 16 steps at a
+time from one call, :func:`~driftchain.chain.band_block`, which covers
+every state the law can reach in those steps.  Each step's new support is
+found from the rows near the edges of the old one, not from every row.  In
+``exact`` mode the law is kept as Python-int numerators over one shared
+denominator, the product of the step denominators; ``float`` mode runs the
+same sweep in doubles.
 ``validate_drift_form`` walks the same sweep and checks every reachable
 state's conditional increment moments, read from the same band rows,
 against the drift data the model states.  ``exact_moments12`` runs the
@@ -24,10 +27,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import AffineMap, DriftModel, band_masses, transition_band
-from .errors import BudgetExceededError, UnreachableStateError
+from .chain import AffineMap, DriftModel, band_block, band_masses, transition_band
+from .errors import BudgetExceededError, ModelValidationError, UnreachableStateError
 
 DEFAULT_CELL_BUDGET = 10_000_000
+# Steps per law_band call of the DP sweep.
+_BAND_STEPS = 16
 
 
 class _Probs(Sequence):
@@ -95,7 +100,18 @@ class LatticeDistribution:
 
 def evolve_iter(model: DriftModel, n_target: int, mode: str = "exact",
                 cell_budget: int = DEFAULT_CELL_BUDGET) -> Iterator[LatticeDistribution]:
-    """Yield the law of the raw state at every step from start to n_target."""
+    """Yield the law of the raw state at every step from start to n_target.
+
+    Each law spans the lowest to the highest state that a live state of the
+    last step (one of nonzero weight) reaches through an atom of nonzero
+    numerator.  In float mode a reached cell whose mass underflows to 0.0
+    stays in the span, but as a zero weight it is not live at the next step.
+    Every cell sums its terms in ascending source-state order.  The rows of
+    ``_BAND_STEPS`` steps come from one ``law_band`` call, clipped to those
+    steps' reachable ranges: a law that leaves them raises
+    :class:`UnreachableStateError`, and a live state whose row has no atom
+    of nonzero mass raises :class:`ModelValidationError`.
+    """
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', not {mode!r}")
     if n_target < model.start.n:
@@ -109,38 +125,86 @@ def evolve_iter(model: DriftModel, n_target: int, mode: str = "exact",
     den = 1 if exact else None
     cells = 1
     yield LatticeDistribution(model.start.n, offset, weights, den)
-    for n in range(model.start.n, n_target):
-        width = len(weights)
-        values, numerators, step_den = transition_band(
-            model, n, offset, offset + width - 1)
-        # The new support runs from the lowest to the highest raw state that
-        # a live row reaches through a nonzero atom.
-        atoms = numerators != 0
-        live = np.flatnonzero(weights != 0)
-        first = atoms[live].argmax(axis=1)
-        last = atoms.shape[1] - 1 - atoms[live, ::-1].argmax(axis=1)
-        new_lo = offset + int((live + values[first]).min())
-        new_hi = offset + int((live + values[last]).max())
-        cells += new_hi - new_lo + 1
-        if cells > cell_budget:
-            raise BudgetExceededError(
-                f"{model.name}: DP would use {cells} cells by step {n + 1}, "
-                f"over the budget of {cell_budget}")
-        if exact:
-            masses = np.asarray(numerators, dtype=object)
-            den *= step_den
-        else:
-            masses = band_masses(numerators, step_den)
-        # Row i moves to cell i + values[j] - values[0] of acc.  Adding the
-        # columns from the highest value down makes every cell sum its terms
-        # in ascending source-state order.
-        acc = np.zeros(width + int(values[-1] - values[0]), dtype=weights.dtype)
-        for j in range(len(values) - 1, -1, -1):
-            shift = int(values[j] - values[0])
-            acc[shift:shift + width] += weights * masses[:, j]
-        base = offset + int(values[0])
-        offset, weights = new_lo, acc[new_lo - base:new_hi - base + 1]
-        yield LatticeDistribution(n + 1, offset, weights, den)
+    values = transition_band(model, model.start.n, offset, offset)[0].tolist()
+    down, up = min(values[0], 0), max(values[-1], 0)
+    span = values[-1] - values[0]
+    for n0 in range(model.start.n, n_target, _BAND_STEPS):
+        # One band holds the rows of the next k steps: in t steps the
+        # support can move t*down below and t*up above where it is now.
+        k = min(_BAND_STEPS, n_target - n0)
+        block = numerators = None  # free the last band before building the next
+        lo, block_values, block, block_den = band_block(
+            model, n0, k, offset + (k - 1) * down, offset + len(weights) - 1 + (k - 1) * up)
+        if block_values.tolist() != values:
+            raise ModelValidationError(
+                f"{model.name}: law_band values at steps {n0}..{n0 + k - 1} "
+                f"differ from those at the start step")
+        # A row with no atom of nonzero mass loses the mass of its state.
+        filled = block.any(axis=2)
+        holes = not filled.all()
+        for t in range(k):
+            n, width = n0 + t, len(weights)
+            if offset < lo or offset + width > lo + block.shape[1]:
+                rlo, rhi = model.reachable_range(n)
+                raise UnreachableStateError(
+                    f"{model.name}: states {offset}..{offset + width - 1} at step "
+                    f"{n} leave the reachable range [{rlo}, {rhi}]")
+            rows = slice(offset - lo, offset - lo + width)
+            numerators = block[t, rows]
+            if holes:
+                dead = np.flatnonzero((weights != 0) & ~filled[t, rows])
+                if dead.size:
+                    raise ModelValidationError(
+                        f"{model.name}: state (n={n}, raw={offset + int(dead[0])}) "
+                        f"has no increment of nonzero mass")
+            low, high = _support_edges(weights, numerators, values, span)
+            cells += high - low + 1
+            if cells > cell_budget:
+                raise BudgetExceededError(
+                    f"{model.name}: DP would use {cells} cells by step {n + 1}, "
+                    f"over the budget of {cell_budget}")
+            step_den = int(block_den[t])
+            if exact:
+                masses = np.asarray(numerators, dtype=object)
+                den *= step_den
+            else:
+                masses = band_masses(numerators, step_den)
+            # Row i moves to cell i + values[j] - values[0] of acc.  Adding
+            # the columns from the highest value down makes every cell sum
+            # its terms in ascending source-state order.
+            acc = np.zeros(width + span, dtype=weights.dtype)
+            for j in range(len(values) - 1, -1, -1):
+                shift = values[j] - values[0]
+                acc[shift:shift + width] += weights * masses[:, j]
+            offset += low
+            weights = acc[low - values[0]:high - values[0] + 1]
+            yield LatticeDistribution(n + 1, offset, weights, den)
+
+
+def _support_edges(weights: np.ndarray, numerators: np.ndarray, values: list,
+                   span: int) -> tuple[int, int]:
+    """Lowest and highest cell, relative to row 0, that a live row (one of
+    nonzero weight) reaches through a nonzero atom.
+
+    Only the rows within ``span`` of the lowest (highest) live row L (H) can
+    reach the lowest (highest) cell: a live row i > L + span reaches no lower
+    than i + values[0] > L + values[-1], and row L reaches at most that.  So
+    the search reads two windows of span + 1 rows, not the whole band.
+    """
+    low, high = 0, len(weights) - 1
+    while not weights[low]:
+        low += 1
+    while not weights[high]:
+        high -= 1
+    top = max(high - span, 0)
+    return (min(low + i + v for i, (w, row) in enumerate(zip(
+                    weights[low:low + span + 1].tolist(),
+                    numerators[low:low + span + 1].tolist()))
+                if w for v, c in zip(values, row) if c),
+            max(top + i + v for i, (w, row) in enumerate(zip(
+                    weights[top:high + 1].tolist(),
+                    numerators[top:high + 1].tolist()))
+                if w for v, c in zip(values, row) if c))
 
 
 def evolve_exact(model: DriftModel, n_target: int, mode: str = "exact",

@@ -1,5 +1,6 @@
 """Exact engine: lattice DP, moment recursions, scalar recursion, Gamma."""
 
+import dataclasses
 import hashlib
 import math
 from collections.abc import Sequence
@@ -7,11 +8,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftchain import (
+    AffineMap,
     BudgetExceededError,
+    ChainState,
+    DriftModel,
     FiniteMeasure,
     LemmaProblem,
+    ModelValidationError,
+    UnreachableStateError,
     UrnSpec,
     evolve_exact,
     evolve_iter,
@@ -21,14 +29,19 @@ from driftchain import (
     lemma_iterate,
     lemma_profile,
     make_balanced_urn,
+    make_circle_model,
+    make_descents_model,
     make_friedman,
+    make_idla_model,
     make_removal_urn,
     moment_of,
     replicate_final,
     replicate_rng,
     simulate_final,
 )
-from driftchain.chain import band_masses, transition_band
+from driftchain.chain import band_law, band_masses, transition_band
+from driftchain.exact import _support_edges
+from conftest import random_urn_spec
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +209,180 @@ def test_evolve_validation(descents_model):
 def test_cell_budget_enforced(descents_model):
     with pytest.raises(BudgetExceededError, match="budget"):
         evolve_exact(descents_model, 2000, cell_budget=500)
+
+
+# ---------------------------------------------------------------------------
+# the DP's support rule against the full-width reference
+
+
+def _full_width_edges(weights, numerators, values):
+    """Lowest and highest cell, relative to row 0, that any live row reaches
+    through a nonzero atom, read from every row."""
+    atoms = numerators != 0
+    live = np.flatnonzero(weights != 0)
+    first = atoms[live].argmax(axis=1)
+    last = atoms.shape[1] - 1 - atoms[live, ::-1].argmax(axis=1)
+    return int((live + values[first]).min()), int((live + values[last]).max())
+
+
+def _reference_laws(model, n_target, mode):
+    """(n, offset, weights, den) of every step, one ``law_band`` call per
+    step over the whole support, whose every live row is searched for the
+    new support: the rule ``evolve_iter`` must agree with."""
+    exact = mode == "exact"
+    offset = model.start.raw
+    weights = np.ones(1, dtype=object if exact else np.float64)
+    den = 1 if exact else None
+    yield model.start.n, offset, weights, den
+    for n in range(model.start.n, n_target):
+        width = len(weights)
+        values, numerators, step_den = transition_band(model, n, offset, offset + width - 1)
+        new_lo, new_hi = (offset + edge for edge in
+                          _full_width_edges(weights, numerators, values))
+        if exact:
+            masses = np.asarray(numerators, dtype=object)
+            den *= step_den
+        else:
+            masses = band_masses(numerators, step_den)
+        acc = np.zeros(width + int(values[-1] - values[0]), dtype=weights.dtype)
+        for j in range(len(values) - 1, -1, -1):
+            shift = int(values[j] - values[0])
+            acc[shift:shift + width] += weights * masses[:, j]
+        base = offset + int(values[0])
+        offset, weights = new_lo, acc[new_lo - base:new_hi - base + 1]
+        yield n + 1, offset, weights, den
+
+
+def _assert_matches_reference(model, n_target, modes=("exact", "float")):
+    """Every law to n_target: exact laws equal as rationals, float laws bitwise."""
+    for mode in modes:
+        laws = list(evolve_iter(model, n_target, mode=mode))
+        reference = list(_reference_laws(model, n_target, mode))
+        assert len(laws) == len(reference)
+        for dist, (n, offset, weights, den) in zip(laws, reference):
+            assert (dist.n, dist.offset, len(dist.probs)) == (n, offset, len(weights))
+            if mode == "exact":
+                assert tuple(dist.probs) == tuple(Fraction(w, den) for w in weights.tolist())
+            else:
+                assert dist.weights.tobytes() == weights.tobytes()
+
+
+def test_support_edges_match_the_full_width_rule():
+    """Random rows, half of them not live, so zero runs at the edges are
+    often longer than the span."""
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        values = np.sort(rng.choice(np.arange(-3, 6), size=int(rng.integers(1, 5)),
+                                    replace=False))
+        width = int(rng.integers(1, 30))
+        weights = np.where(rng.random(width) < 0.5, rng.random(width), 0.0)
+        weights[rng.integers(width)] = 1.0
+        numerators = rng.integers(0, 3, size=(width, len(values)))
+        numerators[np.arange(width), rng.integers(len(values), size=width)] = 1
+        assert _support_edges(weights, numerators, values.tolist(),
+                              int(values[-1] - values[0])) == \
+            _full_width_edges(weights, numerators, values)
+
+
+# Steps past the start: either side of the DP's first and second band fetch.
+BAND_EDGE_STEPS = (15, 16, 17, 31, 32, 33)
+
+
+@pytest.mark.parametrize("build", [
+    make_descents_model, make_idla_model, make_circle_model,
+    lambda: make_friedman(1, 2), lambda: make_friedman(0, 1),
+    lambda: make_friedman(2, 1, a0=3, b0=0),
+    lambda: make_removal_urn(2, FiniteMeasure.uniform([0, 1, 2])),
+    lambda: make_friedman(1, 2, a0=2**53),
+    # the denominator passes 2**63, so the numerators are Python ints
+    lambda: make_removal_urn(2, FiniteMeasure.uniform([0, 1, 2]), a0=2**62),
+], ids=["descents", "idla", "circle", "friedman(1,2)", "friedman(0,1)",
+        "friedman(2,1,a0=3,b0=0)", "removal(b=2)", "friedman(1,2,a0=2**53)",
+        "removal(b=2,a0=2**62)"])
+def test_evolve_iter_matches_the_full_width_reference(build):
+    model = build()
+    for steps in BAND_EDGE_STEPS:
+        _assert_matches_reference(model, model.start.n + steps)
+
+
+def test_evolve_iter_matches_the_reference_on_a_wide_urn(wide_urn_model):
+    # atoms -1 and 2, with holes inside the support
+    for steps in BAND_EDGE_STEPS:
+        _assert_matches_reference(wide_urn_model, wide_urn_model.start.n + steps)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_evolve_iter_matches_the_reference_on_random_urns(seed):
+    model = make_balanced_urn(random_urn_spec(np.random.default_rng(seed)))
+    for steps in BAND_EDGE_STEPS:
+        _assert_matches_reference(model, model.start.n + steps)
+
+
+def test_float_evolve_iter_matches_the_reference_where_tails_underflow(descents_model):
+    """At n=600 the float law's tails have underflowed to 0.0: the law keeps
+    the reached cells, and the zero rows are not live at the next step."""
+    dist = evolve_exact(descents_model, 600, mode="float")
+    assert len(dist.probs) == 474
+    assert dist.weights[0] == 0.0 and dist.weights[-1] == 0.0
+    _assert_matches_reference(descents_model, 600, modes=("float",))
+
+
+def test_evolve_rejects_laws_that_leave_the_reachable_range(descents_model):
+    # the DP reaches raw = n - 1 at step n; this range stops one short
+    model = dataclasses.replace(descents_model,
+                                reachable_range=lambda n: (0, max(0, n - 2)))
+    for mode in ("exact", "float"):
+        with pytest.raises(UnreachableStateError, match="reachable"):
+            evolve_exact(model, 40, mode=mode)
+
+
+def _descents_without_row(descents_model, row):
+    """Descents with every atom zeroed on the row raw = row(n) at step n."""
+    band = descents_model.law_band
+
+    def law_band(n, lo, hi):
+        values, numerators, den = band(n, lo, hi)
+        steps = np.atleast_1d(n)
+        numerators = numerators.reshape(len(steps), hi - lo + 1, -1).copy()
+        rows = np.array([row(int(m)) for m in steps]) - lo
+        hit = (rows >= 0) & (rows <= hi - lo)
+        numerators[np.flatnonzero(hit), rows[hit]] = 0
+        return values, numerators.reshape(np.shape(n) + numerators.shape[1:]), den
+
+    return dataclasses.replace(descents_model, law_band=law_band,
+                               increment_law=band_law(law_band))
+
+
+def test_evolve_rejects_a_live_state_without_atoms(descents_model):
+    """A row with no atom of nonzero mass would lose its state's mass."""
+    model = _descents_without_row(descents_model, lambda n: 2 if n == 5 else -1)
+    for mode in ("exact", "float"):
+        with pytest.raises(ModelValidationError, match=r"n=5, raw=2\)"):
+            evolve_exact(model, 40, mode=mode)
+    # raw = n is never live at step n, so an empty row there is harmless
+    model = _descents_without_row(descents_model, lambda n: n)
+    for mode in ("exact", "float"):
+        dist, expected = (evolve_exact(m, 40, mode=mode) for m in (model, descents_model))
+        assert (dist.offset, dist.weights.tolist()) == (expected.offset,
+                                                        expected.weights.tolist())
+
+
+def test_evolve_rejects_values_that_change_with_n():
+    """One band serves many steps, so its ``values`` must not change with n."""
+    def law_band(n, lo, hi):
+        shift = int(np.max(n) >= 40)
+        return (np.array([0, 1]) + shift,
+                np.ones(np.shape(n) + (hi - lo + 1, 2), dtype=np.int64),
+                np.broadcast_to(2, np.shape(n)))
+
+    model = DriftModel(name="shifting", start=ChainState(0, 0),
+                       affine=AffineMap(a=1, b=0, c=0, d=1), coeffs=None,
+                       law_band=law_band, increment_law=band_law(law_band),
+                       reachable_range=lambda n: (0, 2 * n))
+    assert evolve_exact(model, 32).total_mass() == 1
+    with pytest.raises(ModelValidationError, match="values"):
+        evolve_exact(model, 80)
 
 
 def test_moment_of(descents_model, wide_urn_model, circle_model, idla_model,
