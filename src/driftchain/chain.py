@@ -1,130 +1,40 @@
-"""Core chain machinery.
+"""Chain engine: state-level operations and the Monte Carlo sampler.
 
-A :class:`DriftModel` is a time-inhomogeneous Markov chain on an integer
-``raw`` state.  The quantity the limit theory speaks about is an affine
-image ``S_n = (a*raw + b + c*n) / d`` of that state, and the model promises
-that the conditional moments of the increments ``a_{n+1} = S_{n+1} - S_n``
-are affine in ``S_n``:
+The model types (:class:`ChainState`, :class:`AffineMap`,
+:class:`DriftCoefficients`, :class:`DriftModel`) and :func:`band_law` live in
+:mod:`driftchain.models`, which builds models without importing numpy; they
+are imported here so that ``driftchain.chain.DriftModel`` and the rest still
+resolve.  This module and the other engines, :mod:`driftchain.exact` and
+:mod:`driftchain.stats`, are the ones that load numpy.
 
-    E[a_{n+1}^k | history] = D_k(n) - (alpha_k(n) / n) * S_n,   k = 1, 2, 3
-
-with coefficients of one shared form, alpha_k(n)/n = alpha_k/(n + c) and
-D_k(n) = D_k + e_k/(n + c), which a model holds as data: the shift c, the
-limits alpha_k, D_k and the corrections e_k (:class:`DriftCoefficients`).
-A model states its transition law once, as an integer band over a range of
-states (``DriftModel.law_band``); built-in models derive their drift data
-and reachable range from it.  The exact DP and the Monte Carlo sampler read
-it through :func:`transition_band`, and the per-state law is one row of it
-(:func:`band_law`).  The band broadcasts over an array of steps, so the
-sampler builds its CDF tables 32 steps at a time from one call, and the DP
-reads 16 steps' rows per call (:func:`band_block`).  Everything
-downstream (exact DP, CLT constants, Monte Carlo) only touches models
-through this interface.  The check that a model's law has the drift form
-it holds sweeps the DP, so it lives beside it, in
-:func:`driftchain.exact.validate_drift_form`.
+The exact DP and the Monte Carlo sampler read a model's transition law, its
+integer band ``DriftModel.law_band``, through :func:`transition_band`.  The
+band broadcasts over an array of steps, so the sampler builds its CDF tables
+32 steps at a time from one call, and the DP reads 16 steps' rows per call
+(:func:`band_block`).  Both engines touch models only through this
+interface.  The check that a model's law has the drift form it holds sweeps
+the DP, so it lives beside it, in :func:`driftchain.exact.validate_drift_form`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import accumulate
-from typing import Callable
 
 import numpy as np
 
 from .errors import ModelValidationError, UnreachableStateError
 from .measures import FiniteMeasure
+from .models import (  # noqa: F401  (re-exported: driftchain.chain.X still resolves)
+    AffineMap,
+    ChainState,
+    DriftCoefficients,
+    DriftModel,
+    band_law,
+)
 
 RNG_ALGORITHM = "philox4x64"
-
-
-@dataclass(frozen=True)
-class ChainState:
-    """Chain position: step index ``n`` and the integer ``raw`` state."""
-
-    n: int
-    raw: int
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """S_n = (a*raw + b + c*n) / d with integer a, b, c and d > 0.
-
-    A step that changes ``raw`` by ``v`` changes ``S`` by ``(a*v + c) / d``,
-    so the same map also converts raw increments to S increments.
-    """
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        if self.d <= 0:
-            raise ValueError("AffineMap denominator d must be positive")
-        if self.a == 0:
-            raise ValueError("AffineMap must be injective in raw (a != 0)")
-
-    def s_value(self, n: int, raw: int | Fraction) -> Fraction:
-        return Fraction(self.a * raw + self.b + self.c * n, self.d)
-
-    def s_array(self, n: int, raw: np.ndarray) -> np.ndarray:
-        return (self.a * raw.astype(np.float64) + self.b + self.c * n) / self.d
-
-
-@dataclass(frozen=True)
-class DriftCoefficients:
-    """Drift sequences in the one-shift form, and the increment bound M.
-
-    For k in {1, 2, 3}, alpha_k(n)/n = alpha_lim[k-1] / (n + c) and
-    D_k(n) = D_lim[k-1] + D_corr[k-1] / (n + c), so the limits are part of
-    the sequences that the exact checks compare with the transition law.
-    ``c`` is the shift of :class:`~driftchain.exact.LemmaProblem`; n + c > 0
-    keeps the drift rate finite at a start index of 0.
-    """
-
-    c: Fraction
-    alpha_lim: tuple[Fraction, Fraction, Fraction]
-    D_lim: tuple[Fraction, Fraction, Fraction]
-    D_corr: tuple[Fraction, Fraction, Fraction]
-    M: Fraction
-
-    def D_n(self, k: int, n: int) -> Fraction:
-        return self.D_lim[k - 1] + self.D_corr[k - 1] / (n + self.c)
-
-    def alpha_over_n(self, k: int, n: int) -> Fraction:
-        return self.alpha_lim[k - 1] / (n + self.c)
-
-
-@dataclass(frozen=True)
-class DriftModel:
-    name: str
-    start: ChainState
-    affine: AffineMap
-    coeffs: DriftCoefficients
-    # The transition law, read by both engines through transition_band:
-    # law_band(n, lo, hi) -> (values, numerators, denominator) where
-    # numerators[i, j] / denominator is the exact mass of raw increment
-    # values[j] out of state lo + i.  Rows may contain zero numerators;
-    # columns are sorted by value.  Numerators are int64, or Python ints in
-    # an object array once the denominator reaches 2**63.  ``n`` may also be
-    # a 1-D int64 array of steps: then numerators[t, i, j] and
-    # denominator[t] belong to step n[t], and ``values`` must be the same
-    # at every step.  Built-in models declare it as a models.AffineBand.
-    law_band: Callable[[int | np.ndarray, int, int],
-                       tuple[np.ndarray, np.ndarray, int | np.ndarray]]
-    # Per-state form of the same law, band_law(law_band) for every model.
-    increment_law: Callable[[ChainState], FiniteMeasure]
-    # (lo, hi) holding every raw state live at step n.  Built-in models derive
-    # it, coeffs and exact_moment_orders from their band (AffineBand.model).
-    reachable_range: Callable[[int], tuple[int, int]]
-    # Orders k for which the drift ansatz holds exactly on every reachable
-    # state.  The circle model only guarantees k = 1.
-    exact_moment_orders: frozenset = frozenset({1, 2, 3})
 
 
 # ---------------------------------------------------------------------------
@@ -174,18 +84,6 @@ def band_block(model: DriftModel, n0: int, k: int, lo: int,
     lows, highs = zip(*map(model.reachable_range, range(n0, n0 + k)))
     lo, hi = max(lo, min(lows)), min(hi, max(highs))
     return (lo, *transition_band(model, np.arange(n0, n0 + k, dtype=np.int64), lo, hi))
-
-
-def band_law(law_band: Callable) -> Callable[[ChainState], FiniteMeasure]:
-    """Per-state increment law: the nonzero atoms of the state's one-row band."""
-
-    def law(state: ChainState) -> FiniteMeasure:
-        values, numerators, den = law_band(state.n, state.raw, state.raw)
-        return FiniteMeasure(tuple(
-            (v, Fraction(c, int(den)))
-            for v, c in zip(values.tolist(), numerators[0].tolist()) if c))
-
-    return law
 
 
 def band_masses(numerators: np.ndarray, den) -> np.ndarray:
@@ -387,6 +285,10 @@ def replicate_final(model: DriftModel, n: int, reps: int, master_seed: int,
     chunks = [range(i, min(i + chunk_size, reps)) for i in range(0, reps, chunk_size)]
     run = partial(_run_chunk, model, n, master_seed)
     if workers > 1 and len(chunks) > 1:
+        # imported here: concurrent.futures and the logging it loads cost
+        # every other start-up several milliseconds
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(min(workers, len(chunks))) as pool:
             return np.concatenate(list(pool.map(run, chunks)))
     return np.concatenate(list(map(run, chunks)))

@@ -28,23 +28,24 @@ model, 4 DP budget exceeded.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
 from fractions import Fraction
 
 from ._version import __version__
-from .chain import DriftModel, replicate_final, rng_id
 from .errors import (
+    DEFAULT_CELL_BUDGET,
     BudgetExceededError,
     ConfigError,
     DegenerateLimitError,
     ModelValidationError,
     SmallUrnError,
 )
-from .exact import DEFAULT_CELL_BUDGET, evolve_exact, moment_of
 from .measures import FiniteMeasure
 from .models import (
+    DriftModel,
     UrnSpec,
     make_balanced_urn,
     make_circle_model,
@@ -53,8 +54,7 @@ from .models import (
     make_idla_model,
     make_removal_urn,
 )
-from .stats import DEFAULT_K_MAX, verify
-from .theory import model_clt_params
+from .theory import DEFAULT_K_MAX, model_clt_params
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -63,6 +63,19 @@ EXIT_DEGENERATE = 3
 EXIT_BUDGET = 4
 
 MODEL_KINDS = ("descents", "urn", "friedman", "removal", "circle", "idla")
+
+# The engine entry points the commands run, by the module that defines them.
+# Only exact, simulate and verify import an engine, and with it numpy, and
+# they do so when they run; ``cli.<name>`` resolves to the engine's object.
+_ENGINE_NAMES = {"replicate_final": "chain", "rng_id": "chain",
+                 "evolve_exact": "exact", "moment_of": "exact", "verify": "stats"}
+
+
+def __getattr__(name: str):
+    if name in _ENGINE_NAMES:
+        module = importlib.import_module(f".{_ENGINE_NAMES[name]}", __package__)
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +252,8 @@ def cmd_theory(args: argparse.Namespace) -> int:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
+    from .exact import evolve_exact, moment_of
+
     model = build_model(load_config(args.config))
     _check_horizon(model, args.n)
     mode = "exact" if args.rational else "float"
@@ -273,6 +288,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .chain import replicate_final, rng_id
+
     model = build_model(load_config(args.config))
     _check_horizon(model, args.n)
     _check_run_args(args.reps, args.seed)
@@ -298,6 +315,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .stats import verify
+
     model = build_model(load_config(args.config))
     _check_horizon(model, args.n)
     _check_run_args(args.reps, args.seed)

@@ -3,7 +3,9 @@
 The CLI maps these onto process exit codes, so keep the split stable:
 validation problems (bad measures, bad configs) are distinct from
 theory-level conditions (degenerate limits, small-urn violations) and
-from resource limits.
+from resource limits.  The default cell budget of the exact DP lives here
+too, beside the error that enforces it, so that the CLI can show it without
+importing the engine.
 """
 
 from __future__ import annotations
@@ -44,3 +46,7 @@ class DegenerateLimitError(DriftChainError):
 
 class BudgetExceededError(DriftChainError):
     """A dynamic-programming sweep exceeded its cell budget."""
+
+
+# Cell budget of a dynamic-programming sweep unless the caller sets one.
+DEFAULT_CELL_BUDGET = 10_000_000

@@ -27,10 +27,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import AffineMap, DriftModel, band_block, band_masses, transition_band
-from .errors import BudgetExceededError, ModelValidationError, UnreachableStateError
+from .chain import band_block, band_masses, transition_band
+from .errors import (
+    DEFAULT_CELL_BUDGET,
+    BudgetExceededError,
+    ModelValidationError,
+    UnreachableStateError,
+)
+from .models import AffineMap, DriftModel
 
-DEFAULT_CELL_BUDGET = 10_000_000
 # Steps per law_band call of the DP sweep.
 _BAND_STEPS = 16
 

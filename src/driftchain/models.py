@@ -1,17 +1,31 @@
-"""Concrete chain models.
+"""Model types and the concrete chain models.
+
+A :class:`DriftModel` is a time-inhomogeneous Markov chain on an integer
+``raw`` state.  The quantity the limit theory speaks about is an affine
+image ``S_n = (a*raw + b + c*n) / d`` of that state (:class:`AffineMap`),
+and the model promises that the conditional moments of the increments
+``a_{n+1} = S_{n+1} - S_n`` are affine in ``S_n``:
+
+    E[a_{n+1}^k | history] = D_k(n) - (alpha_k(n) / n) * S_n,   k = 1, 2, 3
+
+with coefficients of one shared form, alpha_k(n)/n = alpha_k/(n + c) and
+D_k(n) = D_k + e_k/(n + c), which a model holds as data: the shift c, the
+limits alpha_k, D_k and the corrections e_k (:class:`DriftCoefficients`).
+These types live here, not in :mod:`driftchain.chain`, so that building a
+model and computing its CLT constants never imports numpy: only the engines
+(:mod:`~driftchain.chain`, :mod:`~driftchain.exact`, :mod:`~driftchain.stats`)
+load it, and :mod:`driftchain.chain` imports these names back.
 
 Every built-in law is affine in the state, so each constructor states it
 once, as data: an integer :class:`AffineBand`, which is the model's
-``law_band``; the per-state law is ``band_law(law_band)``.  The band takes
-one step or a 1-D array of steps, so the Monte Carlo kernel builds the tables
-of many steps from one call.  Everything else a :class:`DriftModel` holds is
-derived from the band by :meth:`AffineBand.model`: the drift data in the
-one-shift form of :class:`~driftchain.chain.DriftCoefficients` (a shift c,
-the limits alpha_k and D_k, and the corrections e_k, with
-alpha_k(n)/n = alpha_k/(n + c) and D_k(n) = D_k + e_k/(n + c)), the orders
-whose drift form is exact, and the reachable range.  Criterion c9 checks the
-drift data against the band state by state, so a wrong derivation shows up
-as a nonzero ``validate_drift_form`` result.
+``law_band``; the per-state law is ``band_law(law_band)``, one row of it.
+The band takes one step or a 1-D array of steps, so the Monte Carlo kernel
+builds the tables of many steps from one call; it imports numpy when it is
+first called, not when it is built.  Everything else a :class:`DriftModel`
+holds is derived from the band by :meth:`AffineBand.model`: the drift data,
+the orders whose drift form is exact, and the reachable range.  Criterion c9
+checks the drift data against the band state by state, so a wrong derivation
+shows up as a nonzero ``validate_drift_form`` result.
 
 Indexing conventions: the permutation-descent and circle models start at
 n = 1 (their S_1 is the first increment), urn models start at n = 0 with
@@ -22,15 +36,118 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
-from .chain import AffineMap, ChainState, DriftCoefficients, DriftModel, band_law
 from .errors import DegenerateLimitError, ModelValidationError
 from .measures import FiniteMeasure
 
+if TYPE_CHECKING:
+    import numpy as np
+
+
+@dataclass(frozen=True)
+class ChainState:
+    """Chain position: step index ``n`` and the integer ``raw`` state."""
+
+    n: int
+    raw: int
+
+
+@dataclass(frozen=True)
+class AffineMap:
+    """S_n = (a*raw + b + c*n) / d with integer a, b, c and d > 0.
+
+    A step that changes ``raw`` by ``v`` changes ``S`` by ``(a*v + c) / d``,
+    so the same map also converts raw increments to S increments.
+    """
+
+    a: int
+    b: int
+    c: int
+    d: int
+
+    def __post_init__(self):
+        if self.d <= 0:
+            raise ValueError("AffineMap denominator d must be positive")
+        if self.a == 0:
+            raise ValueError("AffineMap must be injective in raw (a != 0)")
+
+    def s_value(self, n: int, raw: int | Fraction) -> Fraction:
+        return Fraction(self.a * raw + self.b + self.c * n, self.d)
+
+    def s_array(self, n: int, raw: np.ndarray) -> np.ndarray:
+        return (self.a * raw.astype(float) + self.b + self.c * n) / self.d
+
+
+@dataclass(frozen=True)
+class DriftCoefficients:
+    """Drift sequences in the one-shift form, and the increment bound M.
+
+    For k in {1, 2, 3}, alpha_k(n)/n = alpha_lim[k-1] / (n + c) and
+    D_k(n) = D_lim[k-1] + D_corr[k-1] / (n + c), so the limits are part of
+    the sequences that the exact checks compare with the transition law.
+    ``c`` is the shift of :class:`~driftchain.exact.LemmaProblem`; n + c > 0
+    keeps the drift rate finite at a start index of 0.
+    """
+
+    c: Fraction
+    alpha_lim: tuple[Fraction, Fraction, Fraction]
+    D_lim: tuple[Fraction, Fraction, Fraction]
+    D_corr: tuple[Fraction, Fraction, Fraction]
+    M: Fraction
+
+    def D_n(self, k: int, n: int) -> Fraction:
+        return self.D_lim[k - 1] + self.D_corr[k - 1] / (n + self.c)
+
+    def alpha_over_n(self, k: int, n: int) -> Fraction:
+        return self.alpha_lim[k - 1] / (n + self.c)
+
+
+@dataclass(frozen=True)
+class DriftModel:
+    name: str
+    start: ChainState
+    affine: AffineMap
+    coeffs: DriftCoefficients
+    # The transition law, read by both engines through transition_band:
+    # law_band(n, lo, hi) -> (values, numerators, denominator) where
+    # numerators[i, j] / denominator is the exact mass of raw increment
+    # values[j] out of state lo + i.  Rows may contain zero numerators;
+    # columns are sorted by value.  Numerators are int64, or Python ints in
+    # an object array once the denominator reaches 2**63.  ``n`` may also be
+    # a 1-D int64 array of steps: then numerators[t, i, j] and
+    # denominator[t] belong to step n[t], and ``values`` must be the same
+    # at every step.  Built-in models declare it as an AffineBand.
+    law_band: Callable[[int | np.ndarray, int, int],
+                       tuple[np.ndarray, np.ndarray, int | np.ndarray]]
+    # Per-state form of the same law, band_law(law_band) for every model.
+    increment_law: Callable[[ChainState], FiniteMeasure]
+    # (lo, hi) holding every raw state live at step n.  Built-in models derive
+    # it, coeffs and exact_moment_orders from their band (AffineBand.model).
+    reachable_range: Callable[[int], tuple[int, int]]
+    # Orders k for which the drift ansatz holds exactly on every reachable
+    # state.  The circle model only guarantees k = 1.
+    exact_moment_orders: frozenset = frozenset({1, 2, 3})
+
+
+def band_law(law_band: Callable) -> Callable[[ChainState], FiniteMeasure]:
+    """Per-state increment law: the nonzero atoms of the state's one-row band."""
+
+    def law(state: ChainState) -> FiniteMeasure:
+        values, numerators, den = law_band(state.n, state.raw, state.raw)
+        return FiniteMeasure(tuple(
+            (v, Fraction(c, int(den)))
+            for v, c in zip(values.tolist(), numerators[0].tolist()) if c))
+
+    return law
+
+
+# ---------------------------------------------------------------------------
+# affine transition laws
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class AffineBand:
@@ -50,8 +167,6 @@ class AffineBand:
     q: tuple[int, ...]
     den: tuple[int, int]
     patch: tuple[int, int, tuple[int, ...]] | None = None
-    _values: np.ndarray = field(init=False, repr=False, compare=False)
-    _coeffs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         deltas = self.patch[2] if self.patch else (0,) * len(self.values)
@@ -61,15 +176,23 @@ class AffineBand:
             raise ModelValidationError(
                 f"band rows must have one entry per value and sum to den={self.den}; "
                 f"lengths are {lengths}, sums {sums}")
-        # p0, p1 and q as (values, 1, 1) columns in each dtype they fit
+
+    @cached_property
+    def _columns(self):
+        """``values`` as int64, and p0, p1 and q as (values, 1, 1) columns in
+        each dtype they fit; built on the first call, so that a model can be
+        built without numpy.  Not a field: eq, hash and repr ignore it."""
+        import numpy as np
+
         exact = np.array([self.p0, self.p1, self.q], dtype=object)[..., None, None]
         coeffs = {object: tuple(exact)}
         if all(abs(c) < 2**63 for c in exact.flat):
             coeffs[np.int64] = tuple(exact.astype(np.int64))
-        object.__setattr__(self, "_values", np.array(self.values, dtype=np.int64))
-        object.__setattr__(self, "_coeffs", coeffs)
+        return np.array(self.values, dtype=np.int64), coeffs
 
     def __call__(self, n, lo: int, hi: int):
+        import numpy as np
+
         # The dtype is chosen in Python ints.  On reachable rows p0 + p1 n and
         # q raw of every built-in band lie within the largest step's
         # denominator, so int64 holds them while it is below 2**63.
@@ -77,7 +200,8 @@ class AffineBand:
         d0, d1 = self.den
         top = int(n.max()) if block else int(n)
         dtype = np.int64 if d0 + d1 * top < 2**63 else object
-        p0, p1, q = self._coeffs[dtype]
+        values, coeffs = self._columns
+        p0, p1, q = coeffs[dtype]
         raw = np.arange(lo, hi + 1, dtype=dtype)
         m = n.astype(dtype)[:, None] if block else top
         # Built value-major, which keeps each value's column contiguous for
@@ -89,7 +213,7 @@ class AffineBand:
         if self.patch:
             r0, r1, delta = self.patch
             nums[raw == r0 + r1 * m] += delta
-        return self._values, nums, d0 + d1 * (m[:, 0] if block else m)
+        return values, nums, d0 + d1 * (m[:, 0] if block else m)
 
     def model(self, name: str, start: ChainState, affine: AffineMap) -> DriftModel:
         """The chain of this law from ``start``, its drift data and range derived.

@@ -21,11 +21,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._version import __version__
-from .chain import DriftModel, replicate_final, rng_id
-from .theory import gaussian_moments, model_clt_params
+from .chain import replicate_final, rng_id
+from .models import DriftModel
+from .theory import DEFAULT_K_MAX, gaussian_moments, model_clt_params
 
 REPORT_SCHEMA = "driftchain/report-v1"
-DEFAULT_K_MAX = 4
 
 # Relative floors for even moments (fraction of the target moment) and the
 # scale factor for the odd-moment O(n^-1/2) bias allowance.  Heuristics,

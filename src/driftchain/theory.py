@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chain import DriftModel
 from .errors import DegenerateLimitError, ModelValidationError, SmallUrnError
 from .measures import FiniteMeasure
-from .models import UrnSpec
+from .models import DriftModel, UrnSpec
 
 
 @dataclass(frozen=True)
@@ -199,6 +198,10 @@ def removal_params(b: int, mu: FiniteMeasure) -> CltParams:
 # ---------------------------------------------------------------------------
 # Gaussian moments
 # ---------------------------------------------------------------------------
+
+# Highest moment order that ``driftchain verify`` compares with the limit.
+DEFAULT_K_MAX = 4
+
 
 def gaussian_moments(variance, k_max: int) -> list:
     """Raw moments [C_0..C_k_max] of N(0, variance): C_k = variance*(k-1)*C_{k-2}."""

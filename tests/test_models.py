@@ -1,5 +1,6 @@
 """Model constructors: transition laws, oracles, and edge cases."""
 
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from driftchain import (
     exit_left_probability,
     increment_pmf,
     make_balanced_urn,
+    make_circle_model,
     make_friedman,
     make_removal_urn,
     replicate_final,
@@ -384,6 +386,41 @@ def test_affine_band_rows_must_sum_to_the_denominator():
                    den=(4, 2), patch=(2, 1, (1, -2, 0)))
     with pytest.raises(ModelValidationError, match=r"lengths are \(3, 2, 2, 2, 3\)"):
         AffineBand((0, 1, 2), p0=(1, 0), p1=(0, 1), q=(1, -1), den=(1, 1))
+
+
+def test_affine_band_builds_its_columns_on_the_first_call():
+    """The numpy columns appear on the first call and change neither the band's
+    eq, hash and repr nor its rows: each is (p0 + p1 n + q raw) / (d0 + d1 n)
+    in Python ints, in the int64 branch and in the object branch alike."""
+    cases = [(make_friedman(1, 2, a0=2**53), (0, 5, 40), np.int64),
+             # its denominator passes 2**63 at step 67
+             (make_friedman(1, 2, a0=2**63 - 200), (60, 67, 250), object),
+             (make_circle_model(), (1, 2, 9), np.int64)]
+    for model, steps, dtype in cases:
+        band = model.law_band
+        twin = dataclasses.replace(band)
+        before = repr(band), hash(band)
+        assert "_columns" not in vars(band)
+        lo = min(model.reachable_range(n)[0] for n in steps)
+        hi = min(max(model.reachable_range(n)[1] for n in steps), lo + 12)
+        d0, d1 = band.den
+        expected = []
+        for n in steps:
+            rows = [[p0 + p1 * n + q * raw for p0, p1, q in zip(band.p0, band.p1, band.q)]
+                    for raw in range(lo, hi + 1)]
+            if band.patch and lo <= band.patch[0] + band.patch[1] * n <= hi:
+                row = rows[band.patch[0] + band.patch[1] * n - lo]
+                row[:] = [c + dc for c, dc in zip(row, band.patch[2])]
+            expected.append(rows)
+        values, nums, den = band(np.array(steps, dtype=np.int64), lo, hi)
+        assert "_columns" in vars(band)
+        assert (repr(band), hash(band)) == before and band == twin and hash(twin) == before[1]
+        assert values.tolist() == list(band.values) and nums.dtype == dtype
+        assert nums.tolist() == expected
+        assert [int(d) for d in den] == [d0 + d1 * n for n in steps]
+        for n, rows in zip(steps, expected):
+            assert band(n, lo, hi)[1].tolist() == rows
+            assert twin(n, lo, hi)[1].tolist() == rows
 
 
 # ---------------------------------------------------------------------------
